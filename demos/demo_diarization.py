@@ -1,7 +1,7 @@
 """End-to-end diarization: cluster whole recordings and score the output.
 
 Compares three systems on a held-out synthetic corpus:
-  * the pairwise UPGMA baseline with unsupervised calibration,
+  * the pairwise WPGMA baseline with unsupervised calibration,
   * untrained by-the-book clustering (plug-in-like initialization),
   * fully trained by-the-book clustering with learned precisions.
 """
@@ -23,7 +23,7 @@ untrained, untrained_plda = init_extractor(train_corpus.full_plda, seed=0,
 # --- DER comparison at the default operating point -----------------------
 
 rows = [
-    ("baseline (UPGMA)", untrained, untrained_plda, AhcConfig(mode="baseline")),
+    ("baseline (WPGMA)", untrained, untrained_plda, AhcConfig(mode="baseline")),
     ("untrained book", untrained, untrained_plda, AhcConfig()),
     ("trained book", full.model, full.plda, AhcConfig()),
 ]

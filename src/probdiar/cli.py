@@ -50,6 +50,10 @@ def _read_config(path, parser):
     return values
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}
+
+
 def _apply_config(args, parser):
     if getattr(args, "config", None):
         file_vals = _read_config(args.config, parser)
@@ -59,8 +63,13 @@ def _apply_config(args, parser):
             if key in cli_flags:
                 continue  # explicit flag wins
             action = next(a for a in parser._actions if a.dest == key)
-            typ = action.type or str
-            setattr(args, key, typ(val))
+            if not isinstance(action, argparse._StoreTrueAction):
+                setattr(args, key, (action.type or str)(val))
+            elif val.lower() in _BOOLEANS:
+                setattr(args, key, _BOOLEANS[val.lower()])
+            else:
+                raise DataError(f"{args.config}: {key} expects true/false/yes/no/1/0, "
+                                f"got {val!r}")
     return args
 
 
@@ -118,7 +127,7 @@ def cmd_diarize(args):
     model, plda = load_model(args.model)
     cfg = AhcConfig(mode=_MODES[args.mode], sigma=args.sigma,
                     likelihood_scale=args.scale)
-    hyps = diarize_corpus(recordings, model, plda, cfg, jobs=args.jobs)
+    hyps = diarize_corpus(recordings, model, plda, cfg)
     write_rttm(args.out, hyps)
     print(f"wrote {len(hyps)} recordings to {args.out}")
     return 0
@@ -153,11 +162,16 @@ def cmd_sweep(args):
     values = [float(v) for v in args.values.split(",")]
     base = AhcConfig(mode=_MODES[args.mode], sigma=args.sigma,
                      likelihood_scale=args.scale)
-    rows, best = sweep(args.param, values, dev, evl, model, plda, base,
-                       jobs=args.jobs)
+    rows, best = sweep(args.param, values, dev, evl, model, plda, base)
     print(sweep_table(args.param, rows))
     print(f"best {args.param} on dev: {best:g}")
     return 0
+
+
+def _check(ok, what):
+    """Fail the self-test as a numeric error (exit 3), also under python -O."""
+    if not ok:
+        raise TrainingError(f"selftest failed: {what}")
 
 
 def cmd_selftest(args):
@@ -168,7 +182,7 @@ def cmd_selftest(args):
     print("partition counts...", end=" ")
     from .partitions import bell_number
     for n in range(1, 9):
-        assert len(enumerate_rgs(n)) == bell_number(n)
+        _check(len(enumerate_rgs(n)) == bell_number(n), f"partition count of n={n}")
     print("ok")
 
     print("sparse posterior vs exhaustive per-partition scoring...", end=" ")
@@ -189,7 +203,7 @@ def cmd_selftest(args):
         direct = np.array(direct) + tables.log_prior
         from scipy.special import logsumexp
         direct -= logsumexp(direct)
-        assert np.max(np.abs(post - direct)) < 1e-10
+        _check(np.max(np.abs(post - direct)) < 1e-10, f"posterior of n={n}")
     print("ok")
 
     print("analytic gradients vs finite differences...", end=" ")
@@ -209,7 +223,7 @@ def cmd_selftest(args):
         truth=canonicalize(rng.integers(1, n + 1, n)))
         for _ in range(3)]
     err = finite_difference_check(batch, model, plda, tables)
-    assert err < 1e-5, f"gradient rel error {err:.2e}"
+    _check(err < 1e-5, f"gradient rel error {err:.2e}")
     print(f"ok (max rel error {err:.2e})")
 
     print("training gradient-check gate at initialization...", end=" ")
@@ -220,7 +234,7 @@ def cmd_selftest(args):
     stream = sample_octets(corpus, n, rng)
     batch = [next(stream) for _ in range(3)]
     err = finite_difference_check(batch, model_i, plda_i, tables, scale_floor=True)
-    assert err < 1e-4, f"gradient rel error at init {err:.2e}"
+    _check(err < 1e-4, f"gradient rel error at init {err:.2e}")
     print(f"ok (max rel error {err:.2e})")
     print("selftest passed")
     return 0
@@ -275,7 +289,6 @@ def build_parser():
     p.add_argument("--mode", choices=sorted(_MODES), default="book")
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("score", cmd_score, help="DER of a hypothesis RTTM vs reference")
     p.add_argument("--ref", required=True)
@@ -292,7 +305,6 @@ def build_parser():
     p.add_argument("--mode", choices=sorted(_MODES), default="book")
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--jobs", type=int, default=1)
 
     add("selftest", cmd_selftest, help="gradient check and scoring equivalence")
     return parser
@@ -314,7 +326,7 @@ def run(argv=None) -> int:
         print(f"probdiar: error: [data] {exc}", file=sys.stderr)
         return DATA_ERROR
     except (TrainingError, DecompositionError, CalibrationError, ScoringError,
-            DomainError, ShapeError, SizeError, AssertionError) as exc:
+            DomainError, ShapeError, SizeError) as exc:
         print(f"probdiar: error: [numeric] {exc}", file=sys.stderr)
         return NUMERIC_ERROR
 

@@ -1,13 +1,18 @@
 """Full-recording diarization by agglomerative hierarchical clustering.
 
 Two variants: the by-the-book greedy maximum-likelihood AHC, where each merge
-is scored exactly from pooled cluster statistics, and the baseline unweighted
-average-linkage (UPGMA) AHC over plug-in pairwise log-likelihood ratios with a
+is scored exactly from pooled cluster statistics, and the baseline weighted
+average-linkage (WPGMA) AHC over plug-in pairwise log-likelihood ratios with a
 per-recording unsupervised calibration threshold.
+
+The greedy merge order does not depend on the stopping threshold sigma, only
+the stopping point does: each variant is one engine yielding merge records
+lazily into a `MergeTrace`, and `cut` replays the prefix a sigma accepts.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +56,75 @@ def _segment_stats(embeddings, plda: DiagPlda, scale: float):
     return rows
 
 
-def _labels_from_members(members, n: int):
-    raw = [0] * n
-    for k, segs in enumerate(members):
-        for t in segs:
-            raw[t] = k + 1
+class MergeTrace:
+    """Greedy merge records (a, b, score) of one recording, pulled lazily
+    from its engine and kept, so that later cuts replay stored records.
+    `calibration` is the baseline's sigma-free threshold (merge while not
+    score < calibration + sigma); None selects the by-the-book rule (merge
+    while score > sigma)."""
+
+    def __init__(self, n: int, merges, calibration: float | None = None):
+        self.n, self.calibration = n, calibration
+        self.records, self._merges = [], iter(merges)
+
+    def __iter__(self):
+        for k in itertools.count():
+            if k == len(self.records):
+                record = next(self._merges, None)
+                if record is None:
+                    return
+                self.records.append(record)
+            yield self.records[k]
+
+
+def cut(trace: MergeTrace, sigma: float) -> tuple[int, ...]:
+    """Labels after the merges of `trace` that sigma accepts: replay records
+    up to the first one that sigma stops."""
+    raw = list(range(trace.n))
+    for a, b, score in trace:
+        if (not score > sigma) if trace.calibration is None \
+                else score < trace.calibration + sigma:
+            break
+        raw = [a if r == b else r for r in raw]
     return canonicalize(raw)
+
+
+def _greedy_merges(score: np.ndarray, rescore):
+    """Yield merge records (a, b, score), best pair first, until one cluster
+    is left.  `score` is the symmetric matrix of pair scores, -inf on the
+    diagonal and for retired clusters; np.argmax takes the first maximum in
+    row-major order, so ties break on the lowest pair (a, b), a < b.  When b
+    merges into a, `rescore(a, b, others)` scores a against the other active
+    clusters before b's row is retired."""
+    n = score.shape[0]
+    alive = np.ones(n, dtype=bool)
+    for _ in range(n - 1):
+        a, b = divmod(int(np.argmax(score)), n)
+        yield a, b, float(score[a, b])
+        alive[b] = False
+        others = np.flatnonzero(alive)
+        others = others[others != a]
+        new = rescore(a, b, others)
+        score[b, :] = score[:, b] = -np.inf
+        score[a, others] = score[others, a] = new
+
+
+def _book_trace(embeddings, plda: DiagPlda, scale: float) -> MergeTrace:
+    n = len(embeddings)
+    if n == 0:
+        raise DomainError("need at least one segment")
+    stats = _segment_stats(embeddings, plda, scale)
+    gain = np.full((n, n), -np.inf)
+    for a in range(n):
+        for b in range(a + 1, n):
+            gain[a, b] = gain[b, a] = merge_delta(stats[a], stats[b])
+
+    def rescore(a, b, others):
+        # gains of untouched pairs stay exact because stats merge additively
+        stats[a] = stats[a] + stats[b]
+        return [merge_delta(stats[a], stats[c]) for c in others]
+
+    return MergeTrace(n, _greedy_merges(gain, rescore))
 
 
 def ahc_by_the_book(embeddings, plda: DiagPlda, cfg: AhcConfig) -> tuple[int, ...]:
@@ -64,38 +132,9 @@ def ahc_by_the_book(embeddings, plda: DiagPlda, cfg: AhcConfig) -> tuple[int, ..
 
     Starts from singletons; each iteration merges the pair with the largest
     likelihood gain, provided it exceeds cfg.sigma.  Ties break on the lowest
-    pair of cluster ids (ids are the smallest member segment index).  Cached
-    gains for untouched pairs stay exact because stats merge additively.
+    pair of cluster ids (ids are the smallest member segment index).
     """
-    n = len(embeddings)
-    if n == 0:
-        raise DomainError("need at least one segment")
-    stats = _segment_stats(embeddings, plda, cfg.likelihood_scale)
-    members = [[t] for t in range(n)]
-    active = list(range(n))
-    delta = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            delta[(a, b)] = merge_delta(stats[a], stats[b])
-
-    while len(active) > 1:
-        best_pair, best = None, -np.inf
-        for ia, a in enumerate(active):
-            for b in active[ia + 1:]:
-                d = delta[(a, b)]
-                if d > best or (d == best and (a, b) < best_pair):
-                    best, best_pair = d, (a, b)
-        if not best > cfg.sigma:
-            break
-        a, b = best_pair
-        stats[a] = stats[a] + stats[b]
-        members[a].extend(members[b])
-        active.remove(b)
-        for c in active:
-            if c != a:
-                pair = (min(a, c), max(a, c))
-                delta[pair] = merge_delta(stats[a], stats[c])
-    return _labels_from_members([members[a] for a in active], n)
+    return cut(_book_trace(embeddings, plda, cfg.likelihood_scale), cfg.sigma)
 
 
 def unsupervised_calibration(scores) -> float:
@@ -143,47 +182,45 @@ def _plugin_embedding(emb: ProbEmbedding, plda: DiagPlda) -> ProbEmbedding:
     return ProbEmbedding(emb.xhat, PLUGIN_PREC_FACTOR * plda.w)
 
 
-def ahc_baseline(embeddings, plda: DiagPlda, cfg: AhcConfig) -> tuple[int, ...]:
-    """Unweighted average-linkage AHC over plug-in pairwise LLR scores.
-
-    The similarity row of a merged cluster is the arithmetic mean of its two
-    parents' rows.  Merging stops when the best similarity falls below the
-    unsupervised-calibration threshold plus the cfg.sigma offset.
-    """
+def _baseline_trace(embeddings, plda: DiagPlda) -> MergeTrace:
     n = len(embeddings)
-    if n < 2:
-        raise DomainError("baseline AHC needs at least two segments")
     plugged = [_plugin_embedding(e, plda) for e in embeddings]
     sim = np.full((n, n), -np.inf)
     for a in range(n):
         for b in range(a + 1, n):
             sim[a, b] = sim[b, a] = pairwise_llr(plugged[a], plugged[b], plda)
-
-    iu = np.triu_indices(n, k=1)
     try:
-        threshold = unsupervised_calibration(sim[iu]) + cfg.sigma
+        calibration = unsupervised_calibration(sim[np.triu_indices(n, k=1)])
     except CalibrationError:
         # too few or degenerate scores to fit the mixture: fall back to the
         # natural zero decision boundary of a log-likelihood ratio
-        threshold = cfg.sigma
+        calibration = 0.0
 
-    members = [[t] for t in range(n)]
-    active = list(range(n))
-    while len(active) > 1:
-        best_pair, best = None, -np.inf
-        for ia, a in enumerate(active):
-            for b in active[ia + 1:]:
-                if sim[a, b] > best or (sim[a, b] == best and (a, b) < best_pair):
-                    best, best_pair = sim[a, b], (a, b)
-        if best < threshold:
-            break
-        a, b = best_pair
-        members[a].extend(members[b])
-        active.remove(b)
-        for c in active:
-            if c != a:
-                sim[a, c] = sim[c, a] = 0.5 * (sim[a, c] + sim[b, c])
-    return _labels_from_members([members[a] for a in active], n)
+    def rescore(a, b, others):
+        return 0.5 * (sim[a, others] + sim[b, others])
+
+    return MergeTrace(n, _greedy_merges(sim, rescore), calibration)
+
+
+def ahc_baseline(embeddings, plda: DiagPlda, cfg: AhcConfig) -> tuple[int, ...]:
+    """Weighted average-linkage (WPGMA) AHC over plug-in pairwise LLR scores.
+
+    The similarity row of a merged cluster is the arithmetic mean of its two
+    parents' rows, whatever their sizes.  Merging stops when the best
+    similarity falls below the unsupervised-calibration threshold plus the
+    cfg.sigma offset.
+    """
+    if len(embeddings) < 2:
+        raise DomainError("baseline AHC needs at least two segments")
+    return cut(_baseline_trace(embeddings, plda), cfg.sigma)
+
+
+def merge_trace(embeddings, plda: DiagPlda, cfg: AhcConfig) -> MergeTrace:
+    """The sigma-free merge trace of cfg.mode: `cut(trace, s)` equals `ahc`
+    with sigma s, for any s (a single segment gives an empty trace)."""
+    if cfg.mode == "baseline":
+        return _baseline_trace(embeddings, plda)
+    return _book_trace(embeddings, plda, cfg.likelihood_scale)
 
 
 def ahc(embeddings, plda: DiagPlda, cfg: AhcConfig) -> tuple[int, ...]:

@@ -44,7 +44,8 @@ class ScoringError(ProbdiarError, ValueError):
 
 
 class TrainingError(ProbdiarError, RuntimeError):
-    """Training diverged; carries the last finite checkpoint."""
+    """Training diverged or a numerical gate (gradient check, self-test)
+    failed; carries the last finite checkpoint when there is one."""
 
     def __init__(self, message, checkpoint=None):
         super().__init__(message)

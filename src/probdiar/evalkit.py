@@ -1,8 +1,9 @@
 """Diarization error-rate scoring and RTTM timeline I/O.
 
 DER is computed with an exact optimal one-to-one speaker mapping (assignment
-problem on overlap durations).  Scoring is frame-quantized at 10 ms by
-default; exact interval arithmetic is available behind a flag for tests.
+problem on overlap durations).  One vectorized engine scores both modes over
+boolean (pieces x speakers) activity matrices; the modes differ only in the
+pieces: a 10 ms frame grid by default, or exact turn and collar boundaries.
 """
 
 from __future__ import annotations
@@ -98,44 +99,43 @@ def write_rttm(path, timelines):
                          f"<NA> <NA> {turn.speaker} <NA> <NA>\n")
 
 
-def _interval_tables(ref: Timeline, hyp: Timeline, collar: float, exact: bool):
-    """Yield (duration, ref_speaker_set, hyp_speaker_set) over scored regions."""
-    ref_speakers = ref.speakers()
-    hyp_speakers = hyp.speakers()
-    collar_zones = []
+def _scored_pieces(ref: Timeline, hyp: Timeline, collar: float, exact: bool):
+    """(durations, midpoints) of the pieces whose midpoint no collar zone
+    contains: 10 ms frames from the earliest turn, or exact boundaries."""
+    zones = []
     if collar > 0:
         for t in ref.turns:
-            collar_zones.append((t.start - collar, t.start + collar))
-            collar_zones.append((t.end - collar, t.end + collar))
-
-    def active(turns, a, b):
-        mid = 0.5 * (a + b)
-        return {t.speaker for t in turns if t.start < mid < t.end}
-
-    def in_collar(a, b):
-        mid = 0.5 * (a + b)
-        return any(lo < mid < hi for lo, hi in collar_zones)
-
-    end = max([t.end for t in ref.turns + hyp.turns])
-    start = min([t.start for t in ref.turns + hyp.turns])
+            zones.append((t.start - collar, t.start + collar))
+            zones.append((t.end - collar, t.end + collar))
+    turns = ref.turns + hyp.turns
+    start = min(t.start for t in turns)
+    end = max(t.end for t in turns)
     if exact:
         bounds = {start, end}
-        for t in ref.turns + hyp.turns:
+        for t in turns:
             bounds.update((t.start, t.end))
-        for lo, hi in collar_zones:
+        for lo, hi in zones:
             bounds.update((lo, hi))
-        bounds = sorted(b for b in bounds if start <= b <= end)
-        pieces = list(zip(bounds[:-1], bounds[1:]))
+        bounds = np.array(sorted(b for b in bounds if start <= b <= end))
+        a, b = bounds[:-1], bounds[1:]
     else:
-        grid = np.arange(start, end, FRAME_STEP)
-        pieces = [(a, a + FRAME_STEP) for a in grid]
+        a = np.arange(start, end, FRAME_STEP)
+        b = a + FRAME_STEP
+    mid = 0.5 * (a + b)
+    scored = np.ones(mid.size, dtype=bool)
+    for lo, hi in zones:
+        scored &= ~((lo < mid) & (mid < hi))
+    return (b - a)[scored], mid[scored]
 
-    out = []
-    for a, b in pieces:
-        if b <= a or in_collar(a, b):
-            continue
-        out.append((b - a, active(ref.turns, a, b), active(hyp.turns, a, b)))
-    return out, ref_speakers, hyp_speakers
+
+def _activity(timeline: Timeline, mid: np.ndarray) -> np.ndarray:
+    """Boolean (pieces x sorted speakers) matrix of turns containing each
+    piece midpoint."""
+    column = {s: i for i, s in enumerate(timeline.speakers())}
+    active = np.zeros((mid.size, len(column)), dtype=bool)
+    for t in timeline.turns:
+        active[:, column[t.speaker]] |= (t.start < mid) & (mid < t.end)
+    return active
 
 
 def der(ref: Timeline, hyp: Timeline, collar: float = 0.0, exact: bool = False) -> DerReport:
@@ -151,28 +151,19 @@ def der(ref: Timeline, hyp: Timeline, collar: float = 0.0, exact: bool = False) 
     if not ref.turns:
         raise ScoringError("empty reference timeline")
 
-    pieces, ref_speakers, hyp_speakers = _interval_tables(ref, hyp, collar, exact)
-    r_idx = {s: i for i, s in enumerate(ref_speakers)}
-    h_idx = {s: i for i, s in enumerate(hyp_speakers)}
-
-    overlap = np.zeros((len(ref_speakers), max(len(hyp_speakers), 1)))
-    for dur, rs, hs in pieces:
-        for r in rs:
-            for h in hs:
-                overlap[r_idx[r], h_idx[h]] += dur
+    dur, mid = _scored_pieces(ref, hyp, collar, exact)
+    ref_on, hyp_on = _activity(ref, mid), _activity(hyp, mid)
+    overlap = (ref_on * dur[:, None]).T @ hyp_on
     rows, cols = linear_sum_assignment(-overlap)
-    mapping = {(r, c) for r, c in zip(rows, cols)}
+    n_ref, n_hyp = ref_on.sum(axis=1), hyp_on.sum(axis=1)
+    n_correct = (ref_on[:, rows] & hyp_on[:, cols]).sum(axis=1)
 
-    total_ref = miss = fa = conf = 0.0
-    for dur, rs, hs in pieces:
-        nr, nh = len(rs), len(hs)
-        total_ref += dur * nr
-        ncorrect = sum(1 for r in rs for h in hs if (r_idx[r], h_idx[h]) in mapping)
-        miss += dur * max(0, nr - nh)
-        fa += dur * max(0, nh - nr)
-        conf += dur * (min(nr, nh) - ncorrect)
+    total_ref = float(np.sum(dur * n_ref))
     if total_ref == 0:
         raise ScoringError("reference has no scored speech (all excised by collar)")
+    miss = float(np.sum(dur * np.maximum(n_ref - n_hyp, 0)))
+    fa = float(np.sum(dur * np.maximum(n_hyp - n_ref, 0)))
+    conf = float(np.sum(dur * (np.minimum(n_ref, n_hyp) - n_correct)))
     return DerReport(missed=miss, false_alarm=fa, confusion=conf, total_ref=total_ref,
                      per_recording={ref.rec_id: (miss, fa, conf, total_ref)})
 

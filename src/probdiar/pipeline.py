@@ -4,74 +4,81 @@ the likelihood scale."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
-import numpy as np
-
-from .clustering import AhcConfig, ahc
+from .clustering import AhcConfig, ahc, cut, merge_trace
 from .evalkit import DerReport, Timeline, Turn, aggregate_der, der
 from .extractor import ExtractorModel, extract
 from .plda import DiagPlda
 
 
-def reference_timeline(rec) -> Timeline:
-    turns = [Turn(start, sr.duration, f"spk{lab}")
-             for start, sr, lab in zip(rec.starts, rec.records, rec.labels)]
-    return Timeline(rec.rec_id, tuple(turns))
-
-
-def diarize_recording(rec, model: ExtractorModel, plda: DiagPlda,
-                      cfg: AhcConfig) -> Timeline:
-    embeddings = [extract(sr, model) for sr in rec.records]
-    labels = ahc(embeddings, plda, cfg)
+def _timeline(rec, labels) -> Timeline:
     turns = [Turn(start, sr.duration, f"spk{lab}")
              for start, sr, lab in zip(rec.starts, rec.records, labels)]
     return Timeline(rec.rec_id, tuple(turns))
 
 
+def reference_timeline(rec) -> Timeline:
+    return _timeline(rec, rec.labels)
+
+
+def diarize_recording(rec, model: ExtractorModel, plda: DiagPlda,
+                      cfg: AhcConfig) -> Timeline:
+    embeddings = [extract(sr, model) for sr in rec.records]
+    return _timeline(rec, ahc(embeddings, plda, cfg))
+
+
 def diarize_corpus(recordings, model: ExtractorModel, plda: DiagPlda,
-                   cfg: AhcConfig, jobs: int = 1) -> dict[str, Timeline]:
-    """Diarize every recording; output is keyed and ordered by recording id
-    regardless of scheduling."""
-    recordings = list(recordings)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda r: diarize_recording(r, model, plda, cfg), recordings))
-    else:
-        results = [diarize_recording(r, model, plda, cfg) for r in recordings]
+                   cfg: AhcConfig) -> dict[str, Timeline]:
+    """Diarize every recording; output is keyed and ordered by recording id."""
+    results = [diarize_recording(r, model, plda, cfg) for r in recordings]
     return {tl.rec_id: tl for tl in sorted(results, key=lambda t: t.rec_id)}
 
 
 def evaluate(recordings, model: ExtractorModel, plda: DiagPlda, cfg: AhcConfig,
-             collar: float = 0.0, jobs: int = 1) -> DerReport:
+             collar: float = 0.0) -> DerReport:
     """Diarize and score a set of recordings; returns the aggregate report."""
-    hyps = diarize_corpus(recordings, model, plda, cfg, jobs=jobs)
+    hyps = diarize_corpus(recordings, model, plda, cfg)
     reports = [der(reference_timeline(rec), hyps[rec.rec_id], collar=collar)
                for rec in recordings]
     return aggregate_der(reports)
 
 
+def _sweep_ders(recordings, cfgs, model: ExtractorModel, plda: DiagPlda):
+    """Aggregate DER of the recordings under each config.  Configs of one
+    likelihood scale cut one merge trace; equal labels share one report."""
+    reports = [[] for _ in cfgs]
+    for rec in recordings:
+        embeddings = [extract(sr, model) for sr in rec.records]
+        ref = reference_timeline(rec)
+        traces, scored = {}, {}
+        for out, cfg in zip(reports, cfgs):
+            scale = cfg.likelihood_scale
+            if scale not in traces:
+                traces[scale] = merge_trace(embeddings, plda, cfg)
+            labels = cut(traces[scale], cfg.sigma)
+            if labels not in scored:
+                scored[labels] = der(ref, _timeline(rec, labels))
+            out.append(scored[labels])
+    return [aggregate_der(reps).der for reps in reports]
+
+
 def sweep(param: str, values, dev_recordings, eval_recordings,
-          model: ExtractorModel, plda: DiagPlda, base_cfg: AhcConfig,
-          jobs: int = 1):
+          model: ExtractorModel, plda: DiagPlda, base_cfg: AhcConfig):
     """Grid search one AHC hyperparameter on the dev split; report dev/eval
     DER pairs per value.  Returns (rows, best_value) where rows are
-    (value, dev_der, eval_der) and best_value minimizes dev DER."""
+    (value, dev_der, eval_der) and best_value minimizes dev DER.  Rows equal
+    `evaluate` per value, but each recording is extracted once, clustered
+    once per likelihood scale and scored once per distinct labelling."""
     if param not in ("sigma", "scale"):
         raise ValueError(f"sweep parameter must be 'sigma' or 'scale', got {param!r}")
-    rows = []
-    for v in values:
-        if param == "sigma":
-            cfg = AhcConfig(mode=base_cfg.mode, sigma=float(v),
-                            likelihood_scale=base_cfg.likelihood_scale)
-        else:
-            cfg = AhcConfig(mode=base_cfg.mode, sigma=base_cfg.sigma,
-                            likelihood_scale=float(v))
-        dev = evaluate(dev_recordings, model, plda, cfg, jobs=jobs).der
-        evl = evaluate(eval_recordings, model, plda, cfg, jobs=jobs).der \
-            if eval_recordings else float("nan")
-        rows.append((float(v), dev, evl))
+    values = [float(v) for v in values]
+    field = "sigma" if param == "sigma" else "likelihood_scale"
+    cfgs = [replace(base_cfg, **{field: v}) for v in values]
+    dev = _sweep_ders(dev_recordings, cfgs, model, plda)
+    evl = _sweep_ders(eval_recordings, cfgs, model, plda) if eval_recordings \
+        else [float("nan")] * len(cfgs)
+    rows = list(zip(values, dev, evl))
     best = min(rows, key=lambda r: r[1])[0]
     return rows, best
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from probdiar.cli import run
+from probdiar.cli import _apply_config, build_parser, run
 from probdiar.extractor import ExtractorModel, PrecisionNet
 from probdiar.io import load_corpus, load_model, save_model
 from probdiar.plda import DiagPlda
@@ -137,6 +137,24 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 4  # two grid rows, not one
 
+    @pytest.mark.parametrize("text, want", [
+        ("false", False), ("FALSE", False), ("no", False), ("0", False),
+        ("true", True), ("Yes", True), ("1", True)])
+    def test_boolean_values(self, tmp_path, text, want):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"freeze_net = {text}\n")
+        args = build_parser().parse_args(["train", "--config", str(cfg),
+                                          "--corpus", "c.tsv", "--out", "m.txt"])
+        assert _apply_config(args, args.subparser).freeze_net is want
+
+    def test_invalid_boolean_is_data_error(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("freeze_net = maybe\n")
+        assert run(["train", "--config", str(cfg),
+                    "--corpus", str(workdir / "corpus.tsv"),
+                    "--out", str(tmp_path / "m.txt")]) == 2
+        assert "freeze_net" in capsys.readouterr().err
+
 
 class TestErrorsAndUsage:
     def test_no_subcommand(self, capsys):
@@ -167,3 +185,8 @@ class TestSelftest:
         assert run(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "selftest passed" in out
+
+    def test_failing_check_is_numeric_error(self, monkeypatch, capsys):
+        monkeypatch.setattr("probdiar.cli.enumerate_rgs", lambda n: [])
+        assert run(["selftest"]) == 3
+        assert "[numeric] selftest failed" in capsys.readouterr().err

@@ -1,16 +1,18 @@
 """Agglomerative clustering: exact merge gains, the greedy by-the-book search,
-the UPGMA baseline and its unsupervised calibration.  Oracles: raw
-recomputation of merge gains, an exhaustive search over all partitions, and an
-independently reimplemented UPGMA."""
+the WPGMA baseline and its unsupervised calibration, and merge traces cut at
+any sigma.  Oracles: raw recomputation of merge gains, an exhaustive search
+over all partitions, an independently reimplemented WPGMA, and a fresh AHC
+run per sigma."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import probdiar as pd
 from probdiar.clustering import (PLUGIN_PREC_FACTOR, AhcConfig, ahc, ahc_baseline,
-                                 ahc_by_the_book, merge_delta,
+                                 ahc_by_the_book, cut, merge_delta, merge_trace,
                                  unsupervised_calibration)
 from probdiar.errors import CalibrationError, DomainError
 from probdiar.partitions import canonicalize, enumerate_rgs
@@ -157,8 +159,9 @@ class TestAhcBaseline:
         assert labels == tuple(range(1, 7))
 
     def test_matches_reimplemented_upgma(self, rng):
-        """Oracle: an independent UPGMA with row averaging and the same
-        stopping rule."""
+        """Oracle: an independent WPGMA (weighted average linkage: the merged
+        row is the plain mean of the parents' rows) with the same stopping
+        rule."""
         plda = DiagPlda(rng.uniform(0.5, 2.0, 3))
         for _ in range(10):
             embs = random_embeddings(rng, 6, d=3)
@@ -214,3 +217,46 @@ class TestAhcDispatch:
             ahc_by_the_book(embs, plda, AhcConfig(mode="by_the_book"))
         assert ahc(embs, plda, AhcConfig(mode="baseline")) == \
             ahc_baseline(embs, plda, AhcConfig(mode="baseline"))
+
+
+class TestMergeTrace:
+    @pytest.mark.parametrize("mode", ["by_the_book", "baseline"])
+    def test_cut_equals_fresh_ahc_at_every_sigma(self, rng, mode):
+        """Cuts deepen the lazily pulled trace one sigma at a time, then
+        revisit sigmas that land on recorded scores; each equals a fresh run."""
+        plda = DiagPlda(rng.uniform(0.5, 2.0, 3))
+        cfg = AhcConfig(mode=mode)
+        for _ in range(5):
+            embs = random_embeddings(rng, 9, d=3)
+            trace = merge_trace(embs, plda, cfg)
+            grid = [np.inf, 20, 5, 1, 0, -1, -5, -20, -np.inf]
+            for sigma in grid:
+                assert cut(trace, sigma) == ahc(embs, plda, replace(cfg, sigma=sigma))
+            assert len(trace.records) == 8
+            offset = trace.calibration or 0.0
+            for _, _, score in trace.records:
+                for sigma in (score - offset, np.nextafter(score - offset, np.inf)):
+                    assert cut(trace, sigma) == ahc(embs, plda, replace(cfg, sigma=sigma))
+
+    def test_book_stops_at_a_gain_equal_to_sigma(self, rng):
+        plda = DiagPlda(rng.uniform(0.5, 2.0, 3))
+        embs = random_embeddings(rng, 6, d=3)
+        trace = merge_trace(embs, plda, AhcConfig())
+        _, _, first = next(iter(trace))
+        assert cut(trace, first) == tuple(range(1, 7))
+        assert cut(trace, np.nextafter(first, -np.inf)) != tuple(range(1, 7))
+
+    def test_ties_break_on_the_lowest_pair(self):
+        plda = DiagPlda(np.ones(2))
+        x = ProbEmbedding(np.array([2.0, 0.0]), np.full(2, 5.0))
+        y = ProbEmbedding(np.array([-2.0, 0.0]), np.full(2, 5.0))
+        for mode in ("by_the_book", "baseline"):
+            trace = merge_trace([y, x, y, x], plda, AhcConfig(mode=mode))
+            cut(trace, -np.inf)
+            assert [r[:2] for r in trace.records[:2]] == [(0, 2), (1, 3)]
+
+    def test_single_segment(self):
+        plda = DiagPlda(np.ones(2))
+        emb = [ProbEmbedding(np.zeros(2), np.ones(2))]
+        for mode in ("by_the_book", "baseline"):
+            assert cut(merge_trace(emb, plda, AhcConfig(mode=mode)), 0.0) == (1,)

@@ -1,5 +1,6 @@
-"""DER scoring and RTTM I/O.  Oracles: hand-computable layouts and a
-brute-force speaker-mapping search over all permutations."""
+"""DER scoring and RTTM I/O.  Oracles: hand-computable layouts, a
+brute-force speaker-mapping search over all permutations, and the per-piece
+loop scorer that the vectorized engine replaced."""
 
 import itertools
 
@@ -9,6 +10,8 @@ import pytest
 from probdiar.errors import DomainError, ParseError, ScoringError
 from probdiar.evalkit import (DerReport, Timeline, Turn, aggregate_der, der,
                               read_rttm, report_table, write_rttm)
+
+from .der_loop import loop_der
 
 
 def tl(rec_id, *turns):
@@ -22,6 +25,19 @@ def fuzz_timeline(rng, rec_id, n_spk=3, n_turns=8):
         dur = float(rng.uniform(0.5, 2.0))
         turns.append(Turn(t, dur, f"s{rng.integers(n_spk)}"))
         t += dur + float(rng.uniform(0.0, 0.5))
+    return Timeline(rec_id, tuple(turns))
+
+
+def overlapping_timeline(rng, rec_id, n_spk=3, n_turns=8, step=None):
+    """Independently placed turns, so speakers overlap.  With `step` every
+    time is a multiple of it, which puts turn boundaries on frame-grid
+    points and piece midpoints."""
+    turns = []
+    for _ in range(n_turns):
+        start, dur = rng.uniform(0.0, 10.0), rng.uniform(0.2, 3.0)
+        if step:
+            start, dur = step * round(start / step), step * max(1, round(dur / step))
+        turns.append(Turn(float(start), float(dur), f"s{rng.integers(n_spk)}"))
     return Timeline(rec_id, tuple(turns))
 
 
@@ -127,6 +143,36 @@ class TestDerComponents:
             der(ref, tl("other", (0, 1, "a")))
         with pytest.raises(ScoringError):
             der(Timeline("r", ()), ref)
+
+
+class TestVectorizedEngine:
+    """The vectorized engine against the per-piece loop it replaced: the
+    activity sets are identical, only the summation order differs."""
+
+    @staticmethod
+    def assert_same(ref, hyp, **kw):
+        got, want = der(ref, hyp, **kw), loop_der(ref, hyp, **kw)
+        for name in ("missed", "false_alarm", "confusion", "total_ref"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name),
+                                                       rel=1e-12, abs=1e-12)
+        assert got.der == pytest.approx(want.der, abs=1e-12)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("collar", [0.0, 0.25])
+    @pytest.mark.parametrize("step", [None, 0.005])
+    def test_matches_loop(self, rng, exact, collar, step):
+        for _ in range(20):
+            ref = overlapping_timeline(rng, "r", step=step)
+            for hyp in (overlapping_timeline(rng, "r", n_spk=4, step=step),
+                        fuzz_timeline(rng, "r"), Timeline("r", ())):
+                self.assert_same(ref, hyp, collar=collar, exact=exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_collar_excising_everything(self, exact):
+        ref = tl("r", (0, 1, "a"), (0.5, 1, "b"))
+        for score in (der, loop_der):
+            with pytest.raises(ScoringError):
+                score(ref, ref, collar=10.0, exact=exact)
 
 
 class TestAggregate:
