@@ -52,24 +52,45 @@ def _read_config(path, parser):
 
 _BOOLEANS = {"true": True, "yes": True, "1": True,
              "false": False, "no": False, "0": False}
+_UNSET = object()
 
 
-def _apply_config(args, parser):
+def _explicit_dests(parser, argv):
+    """Dests of the options that argv gives, whatever their values."""
+    probe = argparse.Namespace(**{a.dest: _UNSET for a in parser._actions})
+    parser.parse_args(argv, probe)
+    return {a.dest for a in parser._actions if getattr(probe, a.dest) is not _UNSET}
+
+
+def _config_value(action, val, path):
+    """A config-file string converted as its option's flag would convert it."""
+    key = action.dest
+    if isinstance(action, argparse._StoreTrueAction):
+        if val.lower() not in _BOOLEANS:
+            raise DataError(f"{path}: {key} expects true/false/yes/no/1/0, got {val!r}")
+        return _BOOLEANS[val.lower()]
+    try:
+        value = (action.type or str)(val)
+    except (TypeError, ValueError):
+        raise DataError(f"{path}: {key} expects {action.type.__name__}, "
+                        f"got {val!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise DataError(f"{path}: {key} expects one of "
+                        f"{', '.join(map(str, action.choices))}, got {val!r}")
+    return value
+
+
+def _apply_config(args, parser, argv=()):
+    """Fill options from the --config file; the flags in `argv` (the
+    subcommand's arguments) win over file values, even when they equal the
+    option's default."""
     if getattr(args, "config", None):
         file_vals = _read_config(args.config, parser)
-        cli_flags = {a.dest for a in parser._actions
-                     if getattr(args, a.dest, None) != a.default}
+        explicit = _explicit_dests(parser, argv) if argv else set()
         for key, val in file_vals.items():
-            if key in cli_flags:
-                continue  # explicit flag wins
-            action = next(a for a in parser._actions if a.dest == key)
-            if not isinstance(action, argparse._StoreTrueAction):
-                setattr(args, key, (action.type or str)(val))
-            elif val.lower() in _BOOLEANS:
-                setattr(args, key, _BOOLEANS[val.lower()])
-            else:
-                raise DataError(f"{args.config}: {key} expects true/false/yes/no/1/0, "
-                                f"got {val!r}")
+            if key not in explicit:
+                action = next(a for a in parser._actions if a.dest == key)
+                setattr(args, key, _config_value(action, val, args.config))
     return args
 
 
@@ -312,6 +333,7 @@ def build_parser():
 
 def run(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -320,7 +342,8 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
     try:
-        args = _apply_config(args, getattr(args, "subparser", parser))
+        args = _apply_config(args, args.subparser,
+                             argv[argv.index(args.command) + 1:])
         return args.fn(args)
     except (DataError, FileNotFoundError) as exc:
         print(f"probdiar: error: [data] {exc}", file=sys.stderr)

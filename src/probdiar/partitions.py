@@ -11,7 +11,6 @@ strings, one per partition.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,13 +18,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import logsumexp
 
-from .errors import DataError, DomainError, SizeError
+from .errors import DomainError, SizeError
 
 MAX_BELL_N = 16
 MAX_TABLE_N = 12
 ALPHA_MAX = 1e6
-
-TABLES_FORMAT_VERSION = 1
 
 
 def bell_number(n: int) -> int:
@@ -157,21 +154,10 @@ def _rows_to_csr(rows, n_cols):
     return sp.csr_matrix((data, indices, indptr), shape=(len(rows), n_cols))
 
 
-def build_tables(n: int, prior: CrpParams, cache_dir: str | None = None) -> PartitionTables:
-    """Build (or load from cache) the partition tables for n-tuples.
-
-    The cache is an optimization only: a loaded table is identical to a
-    freshly built one.
-    """
+def build_tables(n: int, prior: CrpParams) -> PartitionTables:
+    """Build the partition tables for n-tuples under the given prior."""
     if not 1 <= n <= MAX_TABLE_N:
         raise SizeError(f"build_tables requires 1 <= n <= {MAX_TABLE_N}, got {n}")
-    cache_path = None
-    if cache_dir is not None:
-        key = f"tables_v{TABLES_FORMAT_VERSION}_n{n}_a{prior.concentration:.17g}_d{prior.discount:.17g}"
-        cache_path = os.path.join(cache_dir, key + ".npz")
-        if os.path.exists(cache_path):
-            return _load_tables(cache_path, prior)
-
     rgs = enumerate_rgs(n)
     log_prior = np.array([crp_log_prob(labels, prior) for labels in rgs])
     # renormalize so the log prior mass is exactly zero in floating point:
@@ -182,6 +168,9 @@ def build_tables(n: int, prior: CrpParams, cache_dir: str | None = None) -> Part
         if z == 0.0:
             break
         log_prior = log_prior - z
+    z = logsumexp(log_prior)
+    if not abs(z) < 1e-10:
+        raise DomainError(f"partition prior for n={n} does not normalize: log mass {z!r}")
     n_cols = (1 << n) - 1
 
     seg_rows = []
@@ -196,63 +185,9 @@ def build_tables(n: int, prior: CrpParams, cache_dir: str | None = None) -> Part
             masks[lab] = masks.get(lab, 0) | (1 << t)
         part_rows.append(np.array(sorted(m - 1 for m in masks.values()), dtype=np.int64))
 
-    tables = PartitionTables(
-        n=n,
-        rgs=tuple(rgs),
-        log_prior=log_prior,
-        seg_cols=tuple(seg_rows),
-        part_cols=tuple(part_rows),
-        prior=prior,
-        seg_subset=_rows_to_csr(seg_rows, n_cols),
-        part_subset=_rows_to_csr(part_rows, n_cols),
-        index={labels: r for r, labels in enumerate(rgs)},
-    )
-    assert abs(logsumexp(log_prior)) < 1e-10
-    if cache_path is not None:
-        _save_tables(cache_path, tables)
-    return tables
-
-
-def _save_tables(path, tables: PartitionTables):
-    rgs_arr = np.array(tables.rgs, dtype=np.int64)
-    part_lens = np.array([len(r) for r in tables.part_cols], dtype=np.int64)
-    part_flat = np.concatenate(tables.part_cols)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    np.savez(
-        path,
-        version=np.int64(TABLES_FORMAT_VERSION),
-        n=np.int64(tables.n),
-        concentration=np.float64(tables.prior.concentration),
-        discount=np.float64(tables.prior.discount),
-        rgs=rgs_arr,
-        log_prior=tables.log_prior,
-        part_lens=part_lens,
-        part_flat=part_flat,
-    )
-
-
-def _load_tables(path, prior: CrpParams) -> PartitionTables:
-    with np.load(path) as z:
-        if int(z["version"]) != TABLES_FORMAT_VERSION:
-            raise DataError(f"unsupported tables cache version in {path}")
-        n = int(z["n"])
-        rgs = tuple(tuple(int(v) for v in row) for row in z["rgs"])
-        log_prior = z["log_prior"].copy()
-        part_lens = z["part_lens"]
-        part_flat = z["part_flat"]
-    n_cols = (1 << n) - 1
-    seg_rows = []
-    for t in range(n):
-        cols = np.array([c - 1 for c in range(1, n_cols + 1) if (c >> t) & 1], dtype=np.int64)
-        seg_rows.append(cols)
-    part_rows = []
-    pos = 0
-    for ln in part_lens:
-        part_rows.append(part_flat[pos:pos + ln].copy())
-        pos += ln
     return PartitionTables(
         n=n,
-        rgs=rgs,
+        rgs=tuple(rgs),
         log_prior=log_prior,
         seg_cols=tuple(seg_rows),
         part_cols=tuple(part_rows),
@@ -275,30 +210,36 @@ def expected_cluster_count(n: int, concentration: float, discount: float) -> flo
     return e
 
 
-def sample_cluster_counts(n: int, concentration: float, discount: float,
-                          n_samples: int, rng) -> np.ndarray:
-    """Monte Carlo sample of the cluster count after n seatings (vectorized:
-    the cluster-count process is Markov in the count alone)."""
-    k = np.ones(n_samples)
+def cluster_count_variance(n: int, concentration: float, discount: float) -> float:
+    """Exact Var[number of clusters] after seating n customers.
+
+    Customer t+1 opens a cluster with probability (alpha + d*K)/(alpha + t),
+    affine in the current count K, so Cov(K, new) = d*Var[K]/(alpha + t) and
+
+        Var[K_{t+1}] = Var[K_t] * (1 + 2d/(alpha + t)) + p_t * (1 - p_t),
+
+    with p_t = (alpha + d*E[K_t])/(alpha + t).  Unlike E[K^2] - E[K]^2, this
+    form does not cancel near the all-singletons limit.
+    """
+    e, var = 1.0, 0.0
     for t in range(1, n):
-        p_new = (concentration + k * discount) / (concentration + t)
-        k += rng.random(n_samples) < p_new
-    return k
+        p = (concentration + discount * e) / (concentration + t)
+        var = var * (1.0 + 2.0 * discount / (concentration + t)) + p * (1.0 - p)
+        e += p
+    return var
 
 
-# fit_crp search configuration: discount grid, alpha bisection bounds, and the
-# Monte Carlo budget/seed used for the variance comparison.
+# fit_crp search configuration: discount grid and the relative tolerance on
+# the expected cluster count.
 FIT_DISCOUNT_GRID = tuple(round(0.05 * i, 2) for i in range(20))  # 0, 0.05, ..., 0.95
-FIT_MC_SAMPLES = 100_000
-FIT_MC_SEED = 12345
 FIT_REL_TOL = 0.005
 
 
-def fit_crp(n_total: int, expected_speakers: float,
-            mc_samples: int = FIT_MC_SAMPLES, mc_seed: int = FIT_MC_SEED) -> CrpParams:
+def fit_crp(n_total: int, expected_speakers: float) -> CrpParams:
     """Find Pitman-Yor parameters whose expected cluster count over n_total
     draws matches `expected_speakers`, choosing among matching (alpha, d)
-    pairs the one with the largest Monte Carlo variance of the count.
+    pairs the one with the largest exact variance of the count
+    (`cluster_count_variance`); exact ties go to the lowest discount.
 
     For each discount on a fixed grid, alpha is solved by bisection on the
     exact expectation recurrence; infeasible grid points (expectation at
@@ -344,11 +285,9 @@ def fit_crp(n_total: int, expected_speakers: float,
             f"no (alpha, discount) on the search grid matches "
             f"E[clusters]={expected_speakers} for n={n_total}")
 
-    rng = np.random.default_rng(mc_seed)
     best, best_var = None, -1.0
     for alpha, d in candidates:
-        k = sample_cluster_counts(n_total, alpha, d, mc_samples, rng)
-        v = float(np.var(k))
+        v = cluster_count_variance(n_total, alpha, d)
         if v > best_var:
             best, best_var = (alpha, d), v
     return CrpParams(concentration=max(best[0], 1e-12), discount=best[1])

@@ -137,6 +137,33 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 4  # two grid rows, not one
 
+    def test_explicit_flag_equal_to_default_wins(self, workdir, tmp_path):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("sigma = 5\n")
+        rttm = {}
+        for name, extra in (("flag", ["--config", str(cfg), "--sigma", "0"]),
+                            ("default", []), ("file", ["--config", str(cfg)])):
+            out = tmp_path / f"{name}.rttm"
+            assert run(["diarize", *extra, "--corpus", str(workdir / "corpus.tsv"),
+                        "--model", str(workdir / "model.txt"), "--out", str(out)]) == 0
+            rttm[name] = out.read_text()
+        assert rttm["file"] != rttm["default"]  # the file value alone matters
+        assert rttm["flag"] == rttm["default"]
+
+    @pytest.mark.parametrize("command, line, key", [
+        ("train", "epochs = abc", "epochs"),
+        ("train", "lr_net = fast", "lr_net"),
+        ("diarize", "mode = upgma", "mode")])
+    def test_mistyped_value_is_data_error(self, workdir, tmp_path, capsys,
+                                          command, line, key):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(line + "\n")
+        extra = ["--model", str(workdir / "model.txt")] if command == "diarize" else []
+        assert run([command, "--config", str(cfg),
+                    "--corpus", str(workdir / "corpus.tsv"), *extra,
+                    "--out", str(tmp_path / "out.txt")]) == 2
+        assert key in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, want", [
         ("false", False), ("FALSE", False), ("no", False), ("0", False),
         ("true", True), ("Yes", True), ("1", True)])

@@ -1,6 +1,6 @@
 """Partition enumeration, the Pitman-Yor prior, sparse tables and prior
 fitting.  Oracles: independent exhaustive enumeration/summation and a
-from-scratch Monte Carlo cluster-count sampler."""
+from-scratch seat-by-seat Monte Carlo cluster-count sampler."""
 
 import itertools
 import math
@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from probdiar import partitions
 from probdiar.errors import DomainError, SizeError
 from probdiar.partitions import (ALPHA_MAX, CrpParams, PartitionTables, bell_number,
-                                 build_tables, canonicalize, crp_log_prob,
-                                 enumerate_rgs, expected_cluster_count, fit_crp,
-                                 sample_cluster_counts)
+                                 build_tables, canonicalize, cluster_count_variance,
+                                 crp_log_prob, enumerate_rgs, expected_cluster_count,
+                                 fit_crp)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]  # B_0..B_10
 
@@ -152,19 +153,11 @@ class TestTables:
         for i, labels in enumerate(tables.rgs):
             assert tables.rgs_index(labels) == i
 
-    def test_cache_roundtrip(self, tmp_path):
-        prior = CrpParams(0.8, 0.2)
-        first = build_tables(5, prior, cache_dir=str(tmp_path))
-        second = build_tables(5, prior, cache_dir=str(tmp_path))
-        assert first.rgs == second.rgs
-        np.testing.assert_array_equal(first.log_prior, second.log_prior)
-        np.testing.assert_array_equal(first.part_subset.toarray(),
-                                      second.part_subset.toarray())
-
-    def test_cache_keyed_by_prior(self, tmp_path):
-        a = build_tables(3, CrpParams(1.0, 0.0), cache_dir=str(tmp_path))
-        b = build_tables(3, CrpParams(5.0, 0.5), cache_dir=str(tmp_path))
-        assert not np.allclose(a.log_prior, b.log_prior)
+    def test_unnormalized_prior_is_domain_error(self, monkeypatch):
+        # an explicit check, not an assert, so it also holds under python -O
+        monkeypatch.setattr(partitions, "logsumexp", lambda x: 1.0)
+        with pytest.raises(DomainError, match="does not normalize"):
+            build_tables(3, CrpParams(1.0, 0.0))
 
 
 class TestExpectedClusterCount:
@@ -180,10 +173,29 @@ class TestExpectedClusterCount:
         assert expected_cluster_count(1, 1.0, 0.0) == pytest.approx(1.0)
 
     def test_mc_sampler_agrees(self):
-        counts = sample_cluster_counts(8, 1.0, 0.3, n_samples=200_000,
-                                       rng=np.random.default_rng(0))
-        assert counts.mean() == pytest.approx(
-            expected_cluster_count(8, 1.0, 0.3), abs=0.02)
+        n, alpha, d, n_samples = 8, 1.0, 0.3, 200_000
+        rng = np.random.default_rng(0)
+        k = np.ones(n_samples)
+        for t in range(1, n):
+            k += rng.random(n_samples) < (alpha + k * d) / (alpha + t)
+        # tolerances are about 6 and 5 standard errors of the sample moments
+        assert k.mean() == pytest.approx(expected_cluster_count(n, alpha, d), abs=0.02)
+        assert k.var() == pytest.approx(cluster_count_variance(n, alpha, d), abs=0.03)
+
+
+class TestClusterCountVariance:
+    def test_against_exhaustive_sum(self):
+        for n in range(1, 8):
+            for alpha, d in ((0.5, 0.0), (1.0, 0.3), (2.0, 0.6)):
+                params = CrpParams(alpha, d)
+                rgs = enumerate_rgs(n)
+                probs = np.array([math.exp(crp_log_prob(labels, params))
+                                  for labels in rgs])
+                counts = np.array([max(labels) for labels in rgs], dtype=float)
+                mean = probs @ counts
+                exact = probs @ (counts - mean) ** 2
+                assert cluster_count_variance(n, alpha, d) == pytest.approx(
+                    exact, rel=1e-12)
 
 
 class TestFitCrp:
@@ -207,3 +219,11 @@ class TestFitCrp:
             fit_crp(8, 0.5)
         with pytest.raises(DomainError):
             fit_crp(8, 9.0)
+
+    @pytest.mark.parametrize("n_total, target, alpha, d", [
+        (720, 93, 0.23839630555907199, 0.65),
+        (8, 3.0, 0.0659309807442072, 0.45),
+        (24, 4.0, 0.0003392415919067969, 0.4)])
+    def test_pinned_outputs(self, n_total, target, alpha, d):
+        # pinned bit for bit: the fitted prior feeds every training run
+        assert fit_crp(n_total, target) == CrpParams(alpha, d)
