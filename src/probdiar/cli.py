@@ -94,6 +94,11 @@ def _apply_config(args, parser, argv=()):
     return args
 
 
+def float_list(text):
+    """A comma-separated list of floats, as `--values` takes it."""
+    return [float(v) for v in text.split(",")]
+
+
 def cmd_simulate(args):
     cfg = SyntheticConfig(
         dim=args.dim, n_recordings=args.recordings,
@@ -115,7 +120,11 @@ def cmd_train(args):
     n_held = max(1, int(round(0.25 * len(recordings))))
     for i, rec in enumerate(recordings):
         rec.split = "heldout" if i < n_held else "train"
-    full = estimate_full_plda([r for r in recordings if r.split == "train"])
+    train_recs = [r for r in recordings if r.split == "train"]
+    if not train_recs:
+        raise DataError(f"corpus has {len(recordings)} recording(s), all held out; "
+                        f"training needs at least two")
+    full = estimate_full_plda(train_recs)
 
     margin = args.margin if args.margin is not None else \
         (100.0 if args.freeze_net else 10.0)
@@ -180,10 +189,9 @@ def cmd_sweep(args):
     dev = load_corpus(args.corpus)
     evl = load_corpus(args.eval_corpus) if args.eval_corpus else []
     model, plda = load_model(args.model)
-    values = [float(v) for v in args.values.split(",")]
     base = AhcConfig(mode=_MODES[args.mode], sigma=args.sigma,
                      likelihood_scale=args.scale)
-    rows, best = sweep(args.param, values, dev, evl, model, plda, base)
+    rows, best = sweep(args.param, args.values, dev, evl, model, plda, base)
     print(sweep_table(args.param, rows))
     print(f"best {args.param} on dev: {best:g}")
     return 0
@@ -322,7 +330,8 @@ def build_parser():
     p.add_argument("--eval-corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--param", choices=("sigma", "scale"), required=True)
-    p.add_argument("--values", required=True, help="comma-separated grid")
+    p.add_argument("--values", type=float_list, required=True,
+                   help="comma-separated grid")
     p.add_argument("--mode", choices=sorted(_MODES), default="book")
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--scale", type=float, default=1.0)

@@ -150,6 +150,8 @@ def der(ref: Timeline, hyp: Timeline, collar: float = 0.0, exact: bool = False) 
         raise ScoringError(f"recording ids differ: {ref.rec_id!r} vs {hyp.rec_id!r}")
     if not ref.turns:
         raise ScoringError("empty reference timeline")
+    if not (np.isfinite(collar) and collar >= 0):
+        raise DomainError(f"collar must be finite and nonnegative, got {collar!r}")
 
     dur, mid = _scored_pieces(ref, hyp, collar, exact)
     ref_on, hyp_on = _activity(ref, mid), _activity(hyp, mid)

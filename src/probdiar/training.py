@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .errors import DataError, DomainError, ShapeError, TrainingError
 from .extractor import ExtractorModel, PrecisionNet, init_extractor, softplus
@@ -130,27 +130,43 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
     ex = e * xh
 
     s = tables.seg_subset.toarray()                       # (n, C)
-    a_bar = np.einsum("tc,btd->bcd", s, ex)
-    b_bar = np.einsum("tc,btd->bcd", s, e)
+    a_bar = s.T @ ex                                      # (B, C, D)
+    b_bar = s.T @ e
     den = 1.0 + b_bar
     g = 0.5 * np.sum(a_bar ** 2 / den - np.log1p(b_bar), axis=2)   # (B, C)
 
     logits = (tables.part_subset @ g.T).T + tables.log_prior       # (B, Bn)
-    lse = logsumexp(logits, axis=1)
+    # Log-sum-exp rounded as scipy's logsumexp rounds it, so the loss keeps
+    # its bits: the maxima leave the sum and come back through log1p.  The
+    # shifted logits are clipped at -700 because numpy's exp leaves its fast
+    # path for arguments whose result is subnormal or underflows, and many
+    # partitions sit that far below the best one.  The clip does not move
+    # the sum: exp(-700) ~ 1e-304 is a normal number, and the at most Bn
+    # clipped entries add under 1e-300 to a sum that log1p then adds to the
+    # max.  np.maximum propagates NaN, so a non-finite logit still gives a
+    # non-finite loss (a NaN row has no maximum, hence the floor of 1).
+    mx = logits.max(axis=1, keepdims=True)
+    top = logits == mx
+    q = np.exp(np.maximum(logits - mx, -700.0))
+    q[top] = 0.0
+    n_top = np.maximum(top.sum(axis=1), 1)
+    lse = np.log1p(q.sum(axis=1) / n_top) + np.log(n_top) + mx[:, 0]
     n_batch = raw.shape[0]
     loss = float(np.mean(lse - logits[np.arange(n_batch), truth]))
     if not want_grad:
         return loss, None
 
-    p = np.exp(logits - lse[:, None])
+    # the softmax as exp(logits - lse) under the same clip keeps the bits of
+    # the unclipped one; q / (1 + sum q) rounds differently
+    p = np.exp(np.maximum(logits - lse[:, None], -700.0))
     p[np.arange(n_batch), truth] -= 1.0
     p /= n_batch                                                   # dloss/dlogits
     dg = (tables.part_subset.T @ p.T).T                            # (B, C)
 
     d_a_bar = dg[:, :, None] * a_bar / den
     d_b_bar = dg[:, :, None] * (-0.5) * (a_bar ** 2 / den ** 2 + 1.0 / den)
-    d_ex = np.einsum("tc,bcd->btd", s, d_a_bar)
-    d_e = d_ex * xh + np.einsum("tc,bcd->btd", s, d_b_bar)
+    d_ex = s @ d_a_bar
+    d_e = d_ex * xh + s @ d_b_bar
     d_xh = d_ex * e
 
     ratio_w = w / (w + b)        # de/db = (w/(w+b))^2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from probdiar.cli import _apply_config, build_parser, run
+from probdiar.errors import DataError
 from probdiar.extractor import ExtractorModel, PrecisionNet
 from probdiar.io import load_corpus, load_model, save_model
 from probdiar.plda import DiagPlda
@@ -43,6 +44,17 @@ class TestTrain:
         lines = (workdir / "history.tsv").read_text().splitlines()
         assert lines[0] == "epoch\ttrain_ce\theldout_ce"
         assert len(lines) == 3
+
+
+    def test_one_recording_corpus_is_data_error(self, workdir, tmp_path, capsys):
+        """The only recording is held out, which leaves nothing to train on."""
+        one = tmp_path / "one.tsv"
+        lines = (workdir / "corpus.tsv").read_text().splitlines()
+        one.write_text("\n".join(ln for ln in lines
+                                 if ln.split("\t")[0] == "rec0000") + "\n")
+        assert run(["train", "--corpus", str(one), "--out", str(tmp_path / "m.txt"),
+                    "--n", "4", "--epochs", "1"]) == 2
+        assert "[data]" in capsys.readouterr().err
 
 
 class TestDiarize:
@@ -95,6 +107,13 @@ class TestScore:
         assert out.read_text().splitlines()[-1].startswith("OVERALL")
 
 
+    @pytest.mark.parametrize("collar", ["-1", "nan", "inf"])
+    def test_bad_collar_is_numeric_error(self, workdir, capsys, collar):
+        assert run(["score", "--ref", str(workdir / "ref.rttm"),
+                    "--hyp", str(workdir / "ref.rttm"), f"--collar={collar}"]) == 3
+        assert "[numeric] collar" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_table_columns(self, workdir, capsys):
         assert run(["sweep", "--corpus", str(workdir / "corpus.tsv"),
@@ -106,6 +125,14 @@ class TestSweep:
         assert header == ["sigma", "dev", "eval"]
         assert len(out.splitlines()) == 5  # header + 3 rows + best line
         assert out.splitlines()[-1].startswith("best sigma")
+
+
+    @pytest.mark.parametrize("values", ["1,abc", "1,,2"])
+    def test_bad_values_flag_is_usage_error(self, workdir, capsys, values):
+        assert run(["sweep", "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(workdir / "model.txt"),
+                    "--param", "sigma", f"--values={values}"]) == 1
+        assert "--values" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -163,6 +190,17 @@ class TestConfigFile:
                     "--corpus", str(workdir / "corpus.tsv"), *extra,
                     "--out", str(tmp_path / "out.txt")]) == 2
         assert key in capsys.readouterr().err
+
+    def test_bad_values_line_is_data_error(self, tmp_path):
+        # --values is required, so a file line only applies where the flag
+        # counts as absent, as with no argv here
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("values = 1,abc\n")
+        args = build_parser().parse_args(["sweep", "--config", str(cfg),
+                                          "--corpus", "c.tsv", "--model", "m.txt",
+                                          "--param", "sigma", "--values", "0"])
+        with pytest.raises(DataError, match="values"):
+            _apply_config(args, args.subparser)
 
     @pytest.mark.parametrize("text, want", [
         ("false", False), ("FALSE", False), ("no", False), ("0", False),

@@ -137,6 +137,13 @@ class TestDerComponents:
         with pytest.raises(ScoringError):
             der(ref, ref, collar=10.0, exact=True)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("collar", [-1.0, -1e-9, np.nan, np.inf])
+    def test_bad_collar_is_domain_error(self, exact, collar):
+        ref = tl("r", (0, 4, "a"))
+        with pytest.raises(DomainError, match="collar"):
+            der(ref, ref, collar=collar, exact=exact)
+
     def test_rec_id_mismatch_and_empty_ref(self):
         ref = tl("r", (0, 1, "a"))
         with pytest.raises(ScoringError):

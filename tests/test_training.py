@@ -1,18 +1,20 @@
 """Octet sampling, the cross-entropy objective, analytic gradients and the
-SGD loop.  Oracles: the brute-force partition scorer and central finite
-differences."""
+SGD loop.  Oracles: the brute-force partition scorer, central finite
+differences and a reference kernel built on einsum and logsumexp."""
 
 import numpy as np
 import pytest
+from scipy.special import expit, logsumexp
 
 import probdiar as pd
 from probdiar.errors import DataError, DomainError, TrainingError
-from probdiar.extractor import ExtractorModel, PrecisionNet, SegmentRecord
+from probdiar.extractor import ExtractorModel, PrecisionNet, SegmentRecord, softplus
 from probdiar.partitions import CrpParams, build_tables, canonicalize
 from probdiar.plda import DiagPlda
-from probdiar.training import (OctetTrial, TrainConfig, cross_entropy,
-                               finite_difference_check, fit_corpus_crp, gradients,
-                               sample_octets, train)
+from probdiar.training import (OctetTrial, TrainConfig, _batch_arrays,
+                               _forward_backward, _get_params, _set_params,
+                               cross_entropy, finite_difference_check,
+                               fit_corpus_crp, gradients, sample_octets, train)
 
 from .conftest import brute_force_log_posterior
 
@@ -146,6 +148,91 @@ class TestGradients:
             W1=model.net.W1, b1=model.net.b1, W2=w2, b2=b2))
         g = gradients(random_batch(rng, 4, 3), dead, plda, tables)
         np.testing.assert_array_equal(g.A[1], np.zeros(4))
+
+
+def reference_forward_backward(raw, quality, truth, model, plda, tables):
+    """The training kernel written with per-axis einsums, scipy's logsumexp
+    and an unclipped softmax: (loss, gradients by group, logits)."""
+    net, w = model.net, plda.w
+    z1 = quality @ net.W1.T + net.b1
+    h = softplus(z1)
+    z2 = h @ net.W2.T + net.b2
+    b = softplus(z2)
+    xh = raw @ model.A.T
+    e = w * b / (w + b)
+    ex = e * xh
+    s = tables.seg_subset.toarray()
+    a_bar = np.einsum("tc,btd->bcd", s, ex)
+    b_bar = np.einsum("tc,btd->bcd", s, e)
+    den = 1.0 + b_bar
+    g = 0.5 * np.sum(a_bar ** 2 / den - np.log1p(b_bar), axis=2)
+    logits = (tables.part_subset @ g.T).T + tables.log_prior
+    lse = logsumexp(logits, axis=1)
+    rows = np.arange(raw.shape[0])
+    loss = float(np.mean(lse - logits[rows, truth]))
+
+    p = np.exp(logits - lse[:, None])
+    p[rows, truth] -= 1.0
+    p /= raw.shape[0]
+    dg = (tables.part_subset.T @ p.T).T
+    d_a_bar = dg[:, :, None] * a_bar / den
+    d_b_bar = dg[:, :, None] * (-0.5) * (a_bar ** 2 / den ** 2 + 1.0 / den)
+    d_ex = np.einsum("tc,bcd->btd", s, d_a_bar)
+    d_e = d_ex * xh + np.einsum("tc,bcd->btd", s, d_b_bar)
+    d_b = d_e * (w / (w + b)) ** 2
+    d_z2 = d_b * expit(z2)
+    d_z1 = (d_z2 @ net.W2) * expit(z1)
+    grads = {"log_w": np.sum(d_e * (b / (w + b)) ** 2, axis=(0, 1)) * w,
+             "A": np.einsum("btd,btr->dr", d_ex * e, raw),
+             "W1": np.einsum("bth,btq->hq", d_z1, quality),
+             "b1": np.sum(d_z1, axis=(0, 1)),
+             "W2": np.einsum("btd,bth->dh", d_z2, h),
+             "b2": np.sum(d_z2, axis=(0, 1))}
+    return loss, grads, logits
+
+
+class TestKernel:
+    """`_forward_backward` against the reference kernel on an n=8 batch of a
+    plug-in (margin 100) model, whose worst partitions sit so far below the
+    best one that their shifted logits underflow exp."""
+
+    @pytest.fixture(scope="class")
+    def octets(self, small_corpus):
+        tables = build_tables(8, CrpParams(1.0, 0.1))
+        model, plda = pd.init_extractor(small_corpus.full_plda, seed=0,
+                                        margin=100.0, quality_dim=2)
+        stream = sample_octets(small_corpus.recordings, 8, np.random.default_rng(5))
+        batch = [next(stream) for _ in range(40)]
+        return _batch_arrays(batch, tables), model, plda, tables
+
+    def test_matches_reference(self, octets):
+        (raw, quality, truth), model, plda, tables = octets
+        loss, grads = _forward_backward(raw, quality, truth, model, plda, tables, True)
+        ref_loss, ref_grads, logits = reference_forward_backward(
+            raw, quality, truth, model, plda, tables)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        assert shifted.min() < -745.0   # exp underflows to 0: the clip is exercised
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert _forward_backward(raw, quality, truth, model, plda, tables,
+                                 False)[0] == loss
+        for name, got in grads.groups().items():
+            want = ref_grads[name]
+            scale = np.max(np.abs(want))
+            assert scale > 0
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("group, value", [("A", np.nan), ("b2", np.inf),
+                                              ("W1", np.nan)])
+    def test_non_finite_parameters_give_non_finite_loss(self, octets, group, value):
+        (raw, quality, truth), model, plda, tables = octets
+        params = {k: v.copy() for k, v in _get_params(model, plda).items()}
+        params[group].reshape(-1)[0] = value
+        with np.errstate(all="ignore"):
+            bad_model, bad_plda = _set_params(params)
+            loss, _ = _forward_backward(raw, quality, truth, bad_model, bad_plda,
+                                        tables, False)
+        assert not np.isfinite(loss)
 
 
 class TestTrain:
