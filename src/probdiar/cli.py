@@ -83,14 +83,20 @@ def _config_value(action, val, path):
 def _apply_config(args, parser, argv=()):
     """Fill options from the --config file; the flags in `argv` (the
     subcommand's arguments) win over file values, even when they equal the
-    option's default."""
+    option's default.  Every file value is validated, also one a flag
+    overrides.  A required option that neither gives is a usage error."""
     if getattr(args, "config", None):
         file_vals = _read_config(args.config, parser)
         explicit = _explicit_dests(parser, argv) if argv else set()
         for key, val in file_vals.items():
+            action = next(a for a in parser._actions if a.dest == key)
+            value = _config_value(action, val, args.config)
             if key not in explicit:
-                action = next(a for a in parser._actions if a.dest == key)
-                setattr(args, key, _config_value(action, val, args.config))
+                setattr(args, key, value)
+    missing = [a.option_strings[0] for a in parser._actions
+               if a.dest in args.required and getattr(args, a.dest) is None]
+    if missing:
+        parser.error(f"the following arguments are required: {', '.join(missing)}")
     return args
 
 
@@ -214,7 +220,7 @@ def cmd_selftest(args):
         _check(len(enumerate_rgs(n)) == bell_number(n), f"partition count of n={n}")
     print("ok")
 
-    print("sparse posterior vs exhaustive per-partition scoring...", end=" ")
+    print("pooled posterior vs exhaustive per-partition scoring...", end=" ")
     for n in range(2, 6):
         tables = build_tables(n, CrpParams(1.0, 0.1))
         d = 5
@@ -337,6 +343,12 @@ def build_parser():
     p.add_argument("--scale", type=float, default=1.0)
 
     add("selftest", cmd_selftest, help="gradient check and scoring equivalence")
+    # required options may come from --config, so _apply_config checks them
+    for p in sub.choices.values():
+        required = [a for a in p._actions if a.required]
+        for a in required:
+            a.required = False
+        p.set_defaults(required={a.dest for a in required})
     return parser
 
 
@@ -345,15 +357,14 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0) and USAGE_ERROR
-    if not getattr(args, "fn", None):
-        parser.print_usage(sys.stderr)
-        return USAGE_ERROR
-    try:
+        if not getattr(args, "fn", None):
+            parser.print_usage(sys.stderr)
+            return USAGE_ERROR
         args = _apply_config(args, args.subparser,
                              argv[argv.index(args.command) + 1:])
         return args.fn(args)
+    except SystemExit as exc:
+        return int(exc.code or 0) and USAGE_ERROR
     except (DataError, FileNotFoundError) as exc:
         print(f"probdiar: error: [data] {exc}", file=sys.stderr)
         return DATA_ERROR

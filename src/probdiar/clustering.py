@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError, ShapeError
+from .errors import CalibrationError, DomainError
 from .partitions import canonicalize
 from .plda import (ClusterStats, DiagPlda, ProbEmbedding, cluster_loglik,
-                   pairwise_llr, segment_weight)
+                   pairwise_llr, segment_stats)
 
 # precision multiple used to emulate plug-in (infinite-precision) embeddings
 PLUGIN_PREC_FACTOR = 1e12
@@ -40,20 +40,9 @@ class AhcConfig:
 
 
 def merge_delta(i: ClusterStats, j: ClusterStats) -> float:
-    """Log-likelihood gain of merging two clusters."""
-    if i.a_bar.shape != j.a_bar.shape:
-        raise ShapeError("cluster stats dimensions differ")
+    """Log-likelihood gain of merging two clusters (ShapeError if their
+    dimensions differ)."""
     return cluster_loglik(i + j) - cluster_loglik(i) - cluster_loglik(j)
-
-
-def _segment_stats(embeddings, plda: DiagPlda, scale: float):
-    rows = []
-    for emb in embeddings:
-        if emb.dim != plda.dim:
-            raise ShapeError(f"embedding dim {emb.dim} != model dim {plda.dim}")
-        e = segment_weight(plda, emb.prec) * scale
-        rows.append(ClusterStats(e * emb.xhat, e, 1))
-    return rows
 
 
 class MergeTrace:
@@ -113,7 +102,7 @@ def _book_trace(embeddings, plda: DiagPlda, scale: float) -> MergeTrace:
     n = len(embeddings)
     if n == 0:
         raise DomainError("need at least one segment")
-    stats = _segment_stats(embeddings, plda, scale)
+    stats = segment_stats(embeddings, plda, scale)
     gain = np.full((n, n), -np.inf)
     for a in range(n):
         for b in range(a + 1, n):

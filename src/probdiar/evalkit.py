@@ -80,10 +80,10 @@ def read_rttm(path) -> dict[str, Timeline]:
                 raise ParseError(f"SPEAKER line has {len(parts)} fields, expected >= 8",
                                  line=lineno)
             try:
-                onset, dur = float(parts[3]), float(parts[4])
-            except ValueError as exc:
+                turn = Turn(float(parts[3]), float(parts[4]), parts[7])
+            except ValueError as exc:   # DomainError included
                 raise ParseError(f"malformed numeric field: {exc}", line=lineno) from exc
-            turns.setdefault(parts[1], []).append(Turn(onset, dur, parts[7]))
+            turns.setdefault(parts[1], []).append(turn)
     return {rec: Timeline(rec, tuple(ts)) for rec, ts in turns.items()}
 
 

@@ -121,16 +121,18 @@ def load_corpus(path):
                 raw = np.array([float(x) for x in raw_s.split(",")])
                 qual = np.array([float(x) for x in qual_s.split(",")])
                 spk = int(spk_s)
-            except ValueError as exc:
+                record = SegmentRecord(raw=raw, quality=qual, duration=dur)
+            except ValueError as exc:   # DomainError included
                 raise ParseError(f"malformed numeric field: {exc}", line=lineno) from exc
+            if not np.isfinite(start):
+                raise ParseError(f"segment start must be finite, got {start_s!r}", line=lineno)
             if raw_dim is None:
                 raw_dim, qual_dim = raw.size, qual.size
             elif (raw.size, qual.size) != (raw_dim, qual_dim):
                 raise ParseError(
                     f"inconsistent vector dims ({raw.size},{qual.size}) vs "
                     f"({raw_dim},{qual_dim})", line=lineno)
-            by_rec.setdefault(rec_id, []).append(
-                (start, SegmentRecord(raw=raw, quality=qual, duration=dur), spk))
+            by_rec.setdefault(rec_id, []).append((start, record, spk))
     if not by_rec:
         raise DataError(f"corpus file {path} is empty")
     out = []

@@ -118,15 +118,12 @@ class PartitionTables:
     `seg_subset` is n-by-(2^n - 1): column c marks the segments in nonempty
     subset c+1 (bitmask order).  `part_subset` is B_n-by-(2^n - 1): row r
     marks the subsets that are the clusters of partition rgs[r].  Both are
-    stored as column-index lists per row; CSR views are kept for fast
-    matrix products.
+    0/1 CSR matrices.
     """
 
     n: int
     rgs: tuple[tuple[int, ...], ...]
     log_prior: np.ndarray
-    seg_cols: tuple[np.ndarray, ...]
-    part_cols: tuple[np.ndarray, ...]
     prior: CrpParams
     seg_subset: sp.csr_matrix = field(repr=False)
     part_subset: sp.csr_matrix = field(repr=False)
@@ -189,8 +186,6 @@ def build_tables(n: int, prior: CrpParams) -> PartitionTables:
         n=n,
         rgs=tuple(rgs),
         log_prior=log_prior,
-        seg_cols=tuple(seg_rows),
-        part_cols=tuple(part_rows),
         prior=prior,
         seg_subset=_rows_to_csr(seg_rows, n_cols),
         part_subset=_rows_to_csr(part_rows, n_cols),

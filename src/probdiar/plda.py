@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import logsumexp
 
 from .errors import DecompositionError, DomainError, ShapeError
 from .partitions import PartitionTables
@@ -150,64 +149,83 @@ def joint_diagonalize(model: FullPlda) -> tuple[np.ndarray, DiagPlda]:
 
 
 def segment_weight(plda: DiagPlda, prec: np.ndarray) -> np.ndarray:
-    """Per-dimension evidence weight w*b/(w+b): 0 for b=0, saturating at w."""
-    prec = np.asarray(prec, dtype=np.float64)
-    w = plda.w
-    with np.errstate(invalid="ignore"):
-        e = np.where(prec > 0, w * prec / (w + prec), 0.0)
-    return e
+    """Per-dimension evidence weight w*b/(w+b): 0 for b=0, saturating at w.
+    A NaN precision gives a NaN weight."""
+    return plda.w * prec / (plda.w + prec)
+
+
+def segment_stats(embeddings, plda: DiagPlda, scale: float) -> list[ClusterStats]:
+    """Per-segment statistics (e*xhat, e), e the evidence weight times scale."""
+    stats = []
+    for emb in embeddings:
+        if emb.dim != plda.dim:
+            raise ShapeError(f"embedding dim {emb.dim} != model dim {plda.dim}")
+        e = segment_weight(plda, emb.prec) * scale
+        stats.append(ClusterStats(e * emb.xhat, e, 1))
+    return stats
 
 
 def accumulate(embeddings, plda: DiagPlda) -> ClusterStats:
     """Pool a list of probabilistic embeddings into cluster statistics."""
-    stats = ClusterStats.zero(plda.dim)
-    for emb in embeddings:
-        if emb.dim != plda.dim:
-            raise ShapeError(f"embedding dim {emb.dim} != model dim {plda.dim}")
-        e = segment_weight(plda, emb.prec)
-        stats = stats + ClusterStats(e * emb.xhat, e, 1)
-    return stats
+    return sum(segment_stats(embeddings, plda, 1.0), ClusterStats.zero(plda.dim))
+
+
+def _pooled_loglik(a_bar: np.ndarray, b_bar: np.ndarray) -> np.ndarray:
+    return 0.5 * np.sum(a_bar ** 2 / (1.0 + b_bar) - np.log1p(b_bar), axis=-1)
 
 
 def cluster_loglik(stats: ClusterStats) -> float:
     """Log-likelihood of a cluster given its pooled stats, with the
     partition-independent constant fixed to zero."""
-    d = 1.0 + stats.b_bar
-    return float(0.5 * np.sum(stats.a_bar ** 2 / d - np.log1p(stats.b_bar)))
+    return float(_pooled_loglik(stats.a_bar, stats.b_bar))
 
 
-def _stack(embeddings, plda: DiagPlda):
-    xh = np.stack([e.xhat for e in embeddings])
-    prec = np.stack([e.prec for e in embeddings])
-    if xh.shape[1] != plda.dim:
-        raise ShapeError(f"embedding dim {xh.shape[1]} != model dim {plda.dim}")
-    return xh, prec
+def subset_logliks(e: np.ndarray, xh: np.ndarray, tables: PartitionTables):
+    """Cluster log-likelihoods g (..., 2^n - 1) of every nonempty subset of
+    each tuple of a (..., n, D) batch of evidence weights `e` and means `xh`,
+    with the pooled stats a_bar, b_bar (..., 2^n - 1, D) behind them."""
+    if e.shape[-2] != tables.n:
+        raise ShapeError(f"tuple size {e.shape[-2]} != tables.n {tables.n}")
+    s = tables.seg_subset.toarray()
+    a_bar = s.T @ (e * xh)
+    b_bar = s.T @ e
+    return _pooled_loglik(a_bar, b_bar), a_bar, b_bar
 
 
-def subset_logliks(xh: np.ndarray, prec: np.ndarray, plda: DiagPlda,
-                   tables: PartitionTables, scale: float = 1.0) -> np.ndarray:
-    """Cluster log-likelihood of every nonempty subset of the tuple, via the
-    sparse segment-to-subset accumulation matrix."""
-    e = segment_weight(plda, prec) * scale
-    a_bar = tables.seg_subset.T @ (e * xh)      # (2^n - 1, D)
-    b_bar = tables.seg_subset.T @ e
-    return 0.5 * np.sum(a_bar ** 2 / (1.0 + b_bar) - np.log1p(b_bar), axis=1)
+def partition_log_posterior(g: np.ndarray, tables: PartitionTables) -> np.ndarray:
+    """Log posterior over all B_n partitions from subset log-likelihoods `g`
+    (2^n - 1,) or (B, 2^n - 1): per-partition sums of g plus the log prior,
+    normalized by a log-softmax of size B_n."""
+    logits = (tables.part_subset @ g.T).T + tables.log_prior
+    # Log-sum-exp rounded as scipy's logsumexp rounds it, so the posterior
+    # keeps its bits: the maxima leave the sum and come back through log1p.
+    # The shifted logits are clipped at -700 because numpy's exp leaves its
+    # fast path for arguments whose result is subnormal or underflows, and
+    # many partitions sit that far below the best one.  The clip does not
+    # move the sum: exp(-700) ~ 1e-304 is a normal number, and the at most
+    # B_n clipped entries add under 1e-300 to a sum that log1p then adds to
+    # the max.  np.maximum propagates NaN, so a non-finite logit still gives
+    # a non-finite posterior (a NaN row has no maximum, hence the floor of 1).
+    # In-place ufuncs keep the bits and spare fresh (B, B_n) pages.
+    mx = logits.max(axis=-1, keepdims=True)
+    top = logits == mx
+    q = logits - mx
+    np.exp(np.maximum(q, -700.0, out=q), out=q)
+    q[top] = 0.0
+    n_top = np.maximum(top.sum(axis=-1, keepdims=True), 1)
+    logits -= np.log1p(q.sum(axis=-1, keepdims=True) / n_top) + np.log(n_top) + mx
+    return logits
 
 
 def clustering_log_posterior(embeddings, plda: DiagPlda,
                              tables: PartitionTables) -> np.ndarray:
-    """Log posterior over all B_n partitions of the tuple.
-
-    Subset log-likelihoods are accumulated into per-partition likelihoods by
-    the sparse partition-to-subset matrix, the log prior is added, and the
-    result is normalized by a log-softmax of size B_n.
-    """
-    if len(embeddings) != tables.n:
-        raise ShapeError(f"expected a {tables.n}-tuple, got {len(embeddings)} embeddings")
-    xh, prec = _stack(embeddings, plda)
-    g = subset_logliks(xh, prec, plda, tables)
-    logits = tables.part_subset @ g + tables.log_prior
-    return logits - logsumexp(logits)
+    """Log posterior over all B_n partitions of the tuple."""
+    xh = np.stack([e.xhat for e in embeddings])
+    prec = np.stack([e.prec for e in embeddings])
+    if xh.shape[1] != plda.dim:
+        raise ShapeError(f"embedding dim {xh.shape[1]} != model dim {plda.dim}")
+    g, _, _ = subset_logliks(segment_weight(plda, prec), xh, tables)
+    return partition_log_posterior(g, tables)
 
 
 def pairwise_llr(e1: ProbEmbedding, e2: ProbEmbedding, plda: DiagPlda) -> float:

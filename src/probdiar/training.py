@@ -19,7 +19,7 @@ from scipy.special import expit
 from .errors import DataError, DomainError, ShapeError, TrainingError
 from .extractor import ExtractorModel, PrecisionNet, init_extractor, softplus
 from .partitions import CrpParams, PartitionTables, build_tables, canonicalize, fit_crp
-from .plda import DiagPlda
+from .plda import DiagPlda, partition_log_posterior, segment_weight, subset_logliks
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,6 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
 
     Shapes: raw (B, n, R), quality (B, n, Q), truth (B,).
     """
-    if raw.shape[1] != tables.n:
-        raise ShapeError(f"tuple size {raw.shape[1]} != tables.n {tables.n}")
     net = model.net
     w = plda.w
 
@@ -126,43 +124,24 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
     z2 = h @ net.W2.T + net.b2
     b = softplus(z2)
     xh = raw @ model.A.T
-    e = w * b / (w + b)
-    ex = e * xh
-
-    s = tables.seg_subset.toarray()                       # (n, C)
-    a_bar = s.T @ ex                                      # (B, C, D)
-    b_bar = s.T @ e
-    den = 1.0 + b_bar
-    g = 0.5 * np.sum(a_bar ** 2 / den - np.log1p(b_bar), axis=2)   # (B, C)
-
-    logits = (tables.part_subset @ g.T).T + tables.log_prior       # (B, Bn)
-    # Log-sum-exp rounded as scipy's logsumexp rounds it, so the loss keeps
-    # its bits: the maxima leave the sum and come back through log1p.  The
-    # shifted logits are clipped at -700 because numpy's exp leaves its fast
-    # path for arguments whose result is subnormal or underflows, and many
-    # partitions sit that far below the best one.  The clip does not move
-    # the sum: exp(-700) ~ 1e-304 is a normal number, and the at most Bn
-    # clipped entries add under 1e-300 to a sum that log1p then adds to the
-    # max.  np.maximum propagates NaN, so a non-finite logit still gives a
-    # non-finite loss (a NaN row has no maximum, hence the floor of 1).
-    mx = logits.max(axis=1, keepdims=True)
-    top = logits == mx
-    q = np.exp(np.maximum(logits - mx, -700.0))
-    q[top] = 0.0
-    n_top = np.maximum(top.sum(axis=1), 1)
-    lse = np.log1p(q.sum(axis=1) / n_top) + np.log(n_top) + mx[:, 0]
+    e = segment_weight(plda, b)
+    g, a_bar, b_bar = subset_logliks(e, xh, tables)
+    log_post = partition_log_posterior(g, tables)
     n_batch = raw.shape[0]
-    loss = float(np.mean(lse - logits[np.arange(n_batch), truth]))
+    loss = float(np.mean(-log_post[np.arange(n_batch), truth]))
     if not want_grad:
         return loss, None
 
-    # the softmax as exp(logits - lse) under the same clip keeps the bits of
-    # the unclipped one; q / (1 + sum q) rounds differently
-    p = np.exp(np.maximum(logits - lse[:, None], -700.0))
+    # the softmax as exp(log posterior) under the posterior's clip keeps the
+    # bits of the unclipped one; q / (1 + sum q) rounds differently.  It
+    # overwrites log_post, which is not needed after the loss.
+    p = np.exp(np.maximum(log_post, -700.0, out=log_post), out=log_post)
     p[np.arange(n_batch), truth] -= 1.0
     p /= n_batch                                                   # dloss/dlogits
     dg = (tables.part_subset.T @ p.T).T                            # (B, C)
 
+    s = tables.seg_subset.toarray()                                # (n, C)
+    den = 1.0 + b_bar
     d_a_bar = dg[:, :, None] * a_bar / den
     d_b_bar = dg[:, :, None] * (-0.5) * (a_bar ** 2 / den ** 2 + 1.0 / den)
     d_ex = s @ d_a_bar
@@ -264,7 +243,7 @@ def fit_corpus_crp(corpus) -> CrpParams:
     recs = [r for r in _recordings_of(corpus) if r.split == "train"] or \
         list(_recordings_of(corpus))
     n_total = sum(len(r.records) for r in recs)
-    n_speakers = sum(max(r.labels) for r in recs)
+    n_speakers = sum(len(set(r.labels)) for r in recs)
     return fit_crp(n_total, min(n_speakers, n_total))
 
 

@@ -113,6 +113,17 @@ class TestScore:
                     "--hyp", str(workdir / "ref.rttm"), f"--collar={collar}"]) == 3
         assert "[numeric] collar" in capsys.readouterr().err
 
+    def test_zero_duration_turn_is_parse_error(self, workdir, tmp_path, capsys):
+        lines = (workdir / "ref.rttm").read_text().splitlines()
+        parts = lines[1].split()
+        parts[4] = "0.000"
+        lines[1] = " ".join(parts)
+        hyp = tmp_path / "hyp.rttm"
+        hyp.write_text("\n".join(lines) + "\n")
+        assert run(["score", "--ref", str(workdir / "ref.rttm"),
+                    "--hyp", str(hyp)]) == 2
+        assert "line 2: " in capsys.readouterr().err
+
 
 class TestSweep:
     def test_table_columns(self, workdir, capsys):
@@ -192,8 +203,7 @@ class TestConfigFile:
         assert key in capsys.readouterr().err
 
     def test_bad_values_line_is_data_error(self, tmp_path):
-        # --values is required, so a file line only applies where the flag
-        # counts as absent, as with no argv here
+        # with no argv, no flag counts as given and the file line applies
         cfg = tmp_path / "opts.cfg"
         cfg.write_text("values = 1,abc\n")
         args = build_parser().parse_args(["sweep", "--config", str(cfg),
@@ -211,6 +221,37 @@ class TestConfigFile:
         args = build_parser().parse_args(["train", "--config", str(cfg),
                                           "--corpus", "c.tsv", "--out", "m.txt"])
         assert _apply_config(args, args.subparser).freeze_net is want
+
+    def test_required_options_from_file(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"out = {tmp_path / 'm.txt'}\nn = 4\nepochs = 1\n")
+        assert run(["train", "--config", str(cfg),
+                    "--corpus", str(workdir / "corpus.tsv")]) == 0
+        assert load_model(tmp_path / "m.txt")[1].dim == 4
+        capsys.readouterr()
+        cfg.write_text("param = sigma\nvalues = -1,1\n")
+        assert run(["sweep", "--config", str(cfg),
+                    "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(workdir / "model.txt")]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_missing_required_option_is_usage_error(self, workdir, tmp_path, capsys,
+                                                    with_config):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("epochs = 1\n")
+        extra = ["--config", str(cfg)] if with_config else []
+        assert run(["train", *extra, "--corpus", str(workdir / "corpus.tsv")]) == 1
+        assert "required: --out" in capsys.readouterr().err
+
+    def test_overridden_line_is_validated(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("values = 1,abc\n")
+        assert run(["sweep", "--config", str(cfg),
+                    "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(workdir / "model.txt"),
+                    "--param", "sigma", "--values=0"]) == 2
+        assert "values" in capsys.readouterr().err
 
     def test_invalid_boolean_is_data_error(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "opts.cfg"
@@ -235,6 +276,23 @@ class TestErrorsAndUsage:
                     "--model", str(workdir / "model.txt"),
                     "--out", str(tmp_path / "h.rttm")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("field, value", [(2, "nan"), (3, "0"),
+                                              (4, "nan,0.2,0.3,0.4")])
+    def test_bad_corpus_value_is_parse_error(self, workdir, tmp_path, capsys,
+                                             field, value):
+        """A NaN start, a zero duration or a NaN raw value names its line
+        (exit 2)."""
+        lines = (workdir / "corpus.tsv").read_text().splitlines()
+        parts = lines[2].split("\t")
+        parts[field] = value
+        lines[2] = "\t".join(parts)
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["diarize", "--corpus", str(bad),
+                    "--model", str(workdir / "model.txt"),
+                    "--out", str(tmp_path / "h.rttm")]) == 2
+        assert "line 3: " in capsys.readouterr().err
 
     def test_corrupt_model_file(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -88,6 +88,9 @@ class TestSegmentWeight:
     def test_zero_precision(self):
         assert segment_weight(DiagPlda([3.0]), np.array([0.0]))[0] == 0.0
 
+    def test_nan_precision(self):
+        assert np.isnan(segment_weight(DiagPlda([3.0]), np.array([np.nan]))[0])
+
     def test_saturation(self):
         w = np.array([2.0, 5.0])
         e = segment_weight(DiagPlda(w), 1e12 * w)

@@ -9,7 +9,8 @@ from scipy.special import expit, logsumexp
 import probdiar as pd
 from probdiar.errors import DataError, DomainError, TrainingError
 from probdiar.extractor import ExtractorModel, PrecisionNet, SegmentRecord, softplus
-from probdiar.partitions import CrpParams, build_tables, canonicalize
+from probdiar.io import CorpusRecording
+from probdiar.partitions import CrpParams, build_tables, canonicalize, fit_crp
 from probdiar.plda import DiagPlda
 from probdiar.training import (OctetTrial, TrainConfig, _batch_arrays,
                                _forward_backward, _get_params, _set_params,
@@ -110,6 +111,20 @@ class TestCrossEntropy:
             losses.append(-post[tables.rgs_index(trial.truth)])
         assert cross_entropy(batch, model, plda, tables) == pytest.approx(
             np.mean(losses), abs=1e-10)
+
+    @pytest.mark.parametrize("margin", [10.0, 100.0])
+    def test_matches_inference_posterior(self, small_corpus, margin):
+        """Training and inference score an n=8 tuple the same way."""
+        tables = build_tables(8, CrpParams(1.0, 0.1))
+        model, plda = pd.init_extractor(small_corpus.full_plda, seed=0,
+                                        margin=margin, quality_dim=2)
+        stream = sample_octets(small_corpus.recordings, 8, np.random.default_rng(3))
+        batch = [next(stream) for _ in range(40)]
+        losses = [-pd.clustering_log_posterior(
+            [pd.extract(sr, model) for sr in trial.records], plda,
+            tables)[tables.rgs_index(trial.truth)] for trial in batch]
+        assert cross_entropy(batch, model, plda, tables) == pytest.approx(
+            np.mean(losses), rel=1e-12)
 
 
 class TestGradients:
@@ -301,3 +316,19 @@ class TestFitCorpusCrp:
         from probdiar.partitions import expected_cluster_count
         e = expected_cluster_count(n_total, params.concentration, params.discount)
         assert e == pytest.approx(n_spk, rel=0.01)
+
+    def test_speaker_ids_need_not_be_canonical(self, small_corpus):
+        """Speakers are counted as distinct ids per recording, so 0-based or
+        sparse ids fit the prior of ids 1..K, and a recording whose one
+        speaker is labelled 0 counts one speaker."""
+        def relabel(f):
+            return [CorpusRecording(r.rec_id, r.records, [f(k) for k in r.labels],
+                                    r.starts, r.split)
+                    for r in small_corpus.recordings]
+
+        want = fit_corpus_crp(small_corpus)
+        assert fit_corpus_crp(relabel(lambda k: k - 1)) == want
+        assert fit_corpus_crp(relabel(lambda k: 10 * k)) == want
+        recs = small_corpus.train_recordings
+        n_total = sum(len(r.records) for r in recs)
+        assert fit_corpus_crp(relabel(lambda k: 0)) == fit_crp(n_total, len(recs))
