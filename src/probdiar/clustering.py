@@ -8,19 +8,24 @@ per-recording unsupervised calibration threshold.
 The greedy merge order does not depend on the stopping threshold sigma, only
 the stopping point does: each variant is one engine yielding merge records
 lazily into a `MergeTrace`, and `cut` replays the prefix a sigma accepts.
+
+Both variants score pairs as array operations.  Cluster statistics are kept
+as (n x D) arrays that merge by row addition, so the pair gains of all
+clusters, or of one merged cluster against the rest, are one broadcast
+through the pooled log-likelihood; they equal `merge_delta` and
+`pairwise_llr` bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CalibrationError, DomainError
 from .partitions import canonicalize
-from .plda import (ClusterStats, DiagPlda, ProbEmbedding, cluster_loglik,
-                   pairwise_llr, segment_stats)
+from .plda import (ClusterStats, DiagPlda, ProbEmbedding, _pooled_loglik,
+                   cluster_loglik, segment_stats)
 
 # precision multiple used to emulate plug-in (infinite-precision) embeddings
 PLUGIN_PREC_FACTOR = 1e12
@@ -47,45 +52,47 @@ def merge_delta(i: ClusterStats, j: ClusterStats) -> float:
 
 class MergeTrace:
     """Greedy merge records (a, b, score) of one recording, pulled lazily
-    from its engine and kept, so that later cuts replay stored records.
-    `calibration` is the baseline's sigma-free threshold (merge while not
-    score < calibration + sigma); None selects the by-the-book rule (merge
-    while score > sigma)."""
+    from its engine and kept, so that later cuts replay stored records.  An
+    iteration yields the stored records, then pulls and keeps new ones, so
+    two iterations must not interleave.  `calibration` is the baseline's
+    sigma-free threshold (merge while not score < calibration + sigma); None
+    selects the by-the-book rule (merge while score > sigma)."""
 
     def __init__(self, n: int, merges, calibration: float | None = None):
         self.n, self.calibration = n, calibration
         self.records, self._merges = [], iter(merges)
 
     def __iter__(self):
-        for k in itertools.count():
-            if k == len(self.records):
-                record = next(self._merges, None)
-                if record is None:
-                    return
-                self.records.append(record)
-            yield self.records[k]
+        yield from self.records
+        for record in self._merges:
+            self.records.append(record)
+            yield record
 
 
 def cut(trace: MergeTrace, sigma: float) -> tuple[int, ...]:
     """Labels after the merges of `trace` that sigma accepts: replay records
     up to the first one that sigma stops."""
-    raw = list(range(trace.n))
+    raw = np.arange(trace.n)
     for a, b, score in trace:
         if (not score > sigma) if trace.calibration is None \
                 else score < trace.calibration + sigma:
             break
-        raw = [a if r == b else r for r in raw]
-    return canonicalize(raw)
+        raw[raw == b] = a
+    return canonicalize(raw.tolist())
 
 
-def _greedy_merges(score: np.ndarray, rescore):
+def _greedy_merges(n: int, upper: np.ndarray, rescore):
     """Yield merge records (a, b, score), best pair first, until one cluster
-    is left.  `score` is the symmetric matrix of pair scores, -inf on the
-    diagonal and for retired clusters; np.argmax takes the first maximum in
-    row-major order, so ties break on the lowest pair (a, b), a < b.  When b
-    merges into a, `rescore(a, b, others)` scores a against the other active
-    clusters before b's row is retired."""
-    n = score.shape[0]
+    is left.  `upper` holds the scores of the pairs a < b in np.triu_indices
+    order.  They are mirrored into a symmetric matrix, -inf on the diagonal
+    and for retired clusters; scoring the lower triangle in its own order
+    would round differently and break the symmetry.  np.argmax takes the
+    first maximum in row-major order, so ties break on the lowest pair.
+    When b merges into a, `rescore(score, a, b, others)` scores a against
+    the other active clusters before b's row is retired."""
+    score = np.full((n, n), -np.inf)
+    i, j = np.triu_indices(n, k=1)
+    score[i, j] = score[j, i] = upper
     alive = np.ones(n, dtype=bool)
     for _ in range(n - 1):
         a, b = divmod(int(np.argmax(score)), n)
@@ -93,27 +100,39 @@ def _greedy_merges(score: np.ndarray, rescore):
         alive[b] = False
         others = np.flatnonzero(alive)
         others = others[others != a]
-        new = rescore(a, b, others)
+        score[a, others] = score[others, a] = rescore(score, a, b, others)
         score[b, :] = score[:, b] = -np.inf
-        score[a, others] = score[others, a] = new
+
+
+def _stacked_stats(embeddings, plda: DiagPlda, scale: float):
+    """Per-segment statistics as (n x D) arrays a_bar, b_bar, the cluster
+    log-likelihood g of each row, and the pairs (i, j), i < j."""
+    stats = segment_stats(embeddings, plda, scale)
+    if not stats:
+        raise DomainError("need at least one segment")
+    a_bar = np.array([s.a_bar for s in stats])
+    b_bar = np.array([s.b_bar for s in stats])
+    i, j = np.triu_indices(len(stats), k=1)
+    return a_bar, b_bar, _pooled_loglik(a_bar, b_bar), i, j
+
+
+def _merged_loglik(a_bar, b_bar, i, j):
+    """Log-likelihoods of the clusters that pool rows i and j."""
+    return _pooled_loglik(a_bar[i] + a_bar[j], b_bar[i] + b_bar[j])
 
 
 def _book_trace(embeddings, plda: DiagPlda, scale: float) -> MergeTrace:
-    n = len(embeddings)
-    if n == 0:
-        raise DomainError("need at least one segment")
-    stats = segment_stats(embeddings, plda, scale)
-    gain = np.full((n, n), -np.inf)
-    for a in range(n):
-        for b in range(a + 1, n):
-            gain[a, b] = gain[b, a] = merge_delta(stats[a], stats[b])
+    a_bar, b_bar, g, i, j = _stacked_stats(embeddings, plda, scale)
 
-    def rescore(a, b, others):
+    def rescore(_, a, b, others):
         # gains of untouched pairs stay exact because stats merge additively
-        stats[a] = stats[a] + stats[b]
-        return [merge_delta(stats[a], stats[c]) for c in others]
+        a_bar[a] += a_bar[b]
+        b_bar[a] += b_bar[b]
+        g[a] = _pooled_loglik(a_bar[a], b_bar[a])
+        return _merged_loglik(a_bar, b_bar, a, others) - g[a] - g[others]
 
-    return MergeTrace(n, _greedy_merges(gain, rescore))
+    gain = _merged_loglik(a_bar, b_bar, i, j) - g[i] - g[j]
+    return MergeTrace(len(g), _greedy_merges(len(g), gain, rescore))
 
 
 def ahc_by_the_book(embeddings, plda: DiagPlda, cfg: AhcConfig) -> tuple[int, ...]:
@@ -167,28 +186,22 @@ def unsupervised_calibration(scores) -> float:
     return float(0.5 * (mu[0] + mu[1]) + var * np.log(pi[0] / pi[1]) / (mu[1] - mu[0]))
 
 
-def _plugin_embedding(emb: ProbEmbedding, plda: DiagPlda) -> ProbEmbedding:
-    return ProbEmbedding(emb.xhat, PLUGIN_PREC_FACTOR * plda.w)
-
-
 def _baseline_trace(embeddings, plda: DiagPlda) -> MergeTrace:
-    n = len(embeddings)
-    plugged = [_plugin_embedding(e, plda) for e in embeddings]
-    sim = np.full((n, n), -np.inf)
-    for a in range(n):
-        for b in range(a + 1, n):
-            sim[a, b] = sim[b, a] = pairwise_llr(plugged[a], plugged[b], plda)
+    plugged = [ProbEmbedding(e.xhat, PLUGIN_PREC_FACTOR * plda.w) for e in embeddings]
+    a_bar, b_bar, g, i, j = _stacked_stats(plugged, plda, 1.0)
+    # grouped as pairwise_llr groups it
+    sim = _merged_loglik(a_bar, b_bar, i, j) - (g[i] + g[j])
     try:
-        calibration = unsupervised_calibration(sim[np.triu_indices(n, k=1)])
+        calibration = unsupervised_calibration(sim)
     except CalibrationError:
         # too few or degenerate scores to fit the mixture: fall back to the
         # natural zero decision boundary of a log-likelihood ratio
         calibration = 0.0
 
-    def rescore(a, b, others):
-        return 0.5 * (sim[a, others] + sim[b, others])
+    def rescore(score, a, b, others):
+        return 0.5 * (score[a, others] + score[b, others])
 
-    return MergeTrace(n, _greedy_merges(sim, rescore), calibration)
+    return MergeTrace(len(g), _greedy_merges(len(g), sim, rescore), calibration)
 
 
 def ahc_baseline(embeddings, plda: DiagPlda, cfg: AhcConfig) -> tuple[int, ...]:

@@ -4,6 +4,11 @@ DER is computed with an exact optimal one-to-one speaker mapping (assignment
 problem on overlap durations).  One vectorized engine scores both modes over
 boolean (pieces x speakers) activity matrices; the modes differ only in the
 pieces: a 10 ms frame grid by default, or exact turn and collar boundaries.
+
+Relabellings of one reference's turns, as a sigma sweep produces, share
+their pieces.  `relabel_scorer` builds them once with a boolean
+(turns x pieces) activity matrix; a labelling's speaker activities are the
+OR of its speakers' turn rows, the same booleans `der` builds.
 """
 
 from __future__ import annotations
@@ -102,6 +107,10 @@ def write_rttm(path, timelines):
 def _scored_pieces(ref: Timeline, hyp: Timeline, collar: float, exact: bool):
     """(durations, midpoints) of the pieces whose midpoint no collar zone
     contains: 10 ms frames from the earliest turn, or exact boundaries."""
+    if not ref.turns:
+        raise ScoringError("empty reference timeline")
+    if not (np.isfinite(collar) and collar >= 0):
+        raise DomainError(f"collar must be finite and nonnegative, got {collar!r}")
     zones = []
     if collar > 0:
         for t in ref.turns:
@@ -128,33 +137,28 @@ def _scored_pieces(ref: Timeline, hyp: Timeline, collar: float, exact: bool):
     return (b - a)[scored], mid[scored]
 
 
-def _activity(timeline: Timeline, mid: np.ndarray) -> np.ndarray:
-    """Boolean (pieces x sorted speakers) matrix of turns containing each
-    piece midpoint."""
-    column = {s: i for i, s in enumerate(timeline.speakers())}
-    active = np.zeros((mid.size, len(column)), dtype=bool)
-    for t in timeline.turns:
-        active[:, column[t.speaker]] |= (t.start < mid) & (mid < t.end)
-    return active
+def _activity(turn_on: np.ndarray, speakers) -> np.ndarray:
+    """Boolean (pieces x sorted speakers) matrix: the OR of the rows of
+    `turn_on` (turns x pieces) over each speaker's turns.  It is a
+    transposed speaker-major array, which keeps each OR and the per-piece
+    speaker counts in `_report` on contiguous memory."""
+    column = {s: i for i, s in enumerate(sorted(set(speakers)))}
+    active = np.zeros((len(column), turn_on.shape[1]), dtype=bool)
+    for k, s in enumerate(speakers):
+        active[column[s]] |= turn_on[k]
+    return active.T
 
 
-def der(ref: Timeline, hyp: Timeline, collar: float = 0.0, exact: bool = False) -> DerReport:
-    """Score one hypothesis timeline against its reference.
+def _turns_on(turns, mid: np.ndarray) -> np.ndarray:
+    """Boolean (turns x pieces) matrix of turns containing each midpoint."""
+    on = np.empty((len(turns), mid.size), dtype=bool)
+    for k, t in enumerate(turns):
+        on[k] = (t.start < mid) & (mid < t.end)
+    return on
 
-    The hypothesis speakers are mapped one-to-one to reference speakers by
-    maximizing total overlap (exact assignment); overlap regions are scored
-    against all active reference speakers; a collar around reference turn
-    boundaries is excluded from scoring.
-    """
-    if ref.rec_id != hyp.rec_id:
-        raise ScoringError(f"recording ids differ: {ref.rec_id!r} vs {hyp.rec_id!r}")
-    if not ref.turns:
-        raise ScoringError("empty reference timeline")
-    if not (np.isfinite(collar) and collar >= 0):
-        raise DomainError(f"collar must be finite and nonnegative, got {collar!r}")
 
-    dur, mid = _scored_pieces(ref, hyp, collar, exact)
-    ref_on, hyp_on = _activity(ref, mid), _activity(hyp, mid)
+def _report(rec_id, dur, ref_on, hyp_on) -> DerReport:
+    """Score boolean (pieces x speakers) activities with piece durations."""
     overlap = (ref_on * dur[:, None]).T @ hyp_on
     rows, cols = linear_sum_assignment(-overlap)
     n_ref, n_hyp = ref_on.sum(axis=1), hyp_on.sum(axis=1)
@@ -167,7 +171,32 @@ def der(ref: Timeline, hyp: Timeline, collar: float = 0.0, exact: bool = False) 
     fa = float(np.sum(dur * np.maximum(n_hyp - n_ref, 0)))
     conf = float(np.sum(dur * (np.minimum(n_ref, n_hyp) - n_correct)))
     return DerReport(missed=miss, false_alarm=fa, confusion=conf, total_ref=total_ref,
-                     per_recording={ref.rec_id: (miss, fa, conf, total_ref)})
+                     per_recording={rec_id: (miss, fa, conf, total_ref)})
+
+
+def der(ref: Timeline, hyp: Timeline, collar: float = 0.0, exact: bool = False) -> DerReport:
+    """Score one hypothesis timeline against its reference.
+
+    The hypothesis speakers are mapped one-to-one to reference speakers by
+    maximizing total overlap (exact assignment); overlap regions are scored
+    against all active reference speakers; a collar around reference turn
+    boundaries is excluded from scoring.
+    """
+    if ref.rec_id != hyp.rec_id:
+        raise ScoringError(f"recording ids differ: {ref.rec_id!r} vs {hyp.rec_id!r}")
+    dur, mid = _scored_pieces(ref, hyp, collar, exact)
+    ref_on = _activity(_turns_on(ref.turns, mid), [t.speaker for t in ref.turns])
+    hyp_on = _activity(_turns_on(hyp.turns, mid), [t.speaker for t in hyp.turns])
+    return _report(ref.rec_id, dur, ref_on, hyp_on)
+
+
+def relabel_scorer(ref: Timeline, collar: float = 0.0, exact: bool = False):
+    """`score(speakers)`, the report of `der(ref, hyp, collar, exact)` for the
+    hypothesis with ref's turns, where turn k is spoken by speakers[k]."""
+    dur, mid = _scored_pieces(ref, ref, collar, exact)
+    turn_on = _turns_on(ref.turns, mid)
+    ref_on = _activity(turn_on, [t.speaker for t in ref.turns])
+    return lambda speakers: _report(ref.rec_id, dur, ref_on, _activity(turn_on, speakers))
 
 
 def aggregate_der(reports) -> DerReport:

@@ -78,7 +78,7 @@ def load_model(path) -> tuple[ExtractorModel, DiagPlda]:
 
 # Corpus files: one segment per line, tab-separated fields in this order:
 #   recording-id  segment-id  start  duration  raw-vector  quality-vector  speaker
-# Vectors are comma-separated decimal numbers.
+# Vectors are comma-separated decimal numbers; starts are finite and >= 0.
 
 def save_corpus(path, corpus):
     with open(path, "w") as fh:
@@ -124,8 +124,9 @@ def load_corpus(path):
                 record = SegmentRecord(raw=raw, quality=qual, duration=dur)
             except ValueError as exc:   # DomainError included
                 raise ParseError(f"malformed numeric field: {exc}", line=lineno) from exc
-            if not np.isfinite(start):
-                raise ParseError(f"segment start must be finite, got {start_s!r}", line=lineno)
+            if not (np.isfinite(start) and start >= 0):
+                raise ParseError(f"segment start must be finite and nonnegative, "
+                                 f"got {start_s!r}", line=lineno)
             if raw_dim is None:
                 raw_dim, qual_dim = raw.size, qual.size
             elif (raw.size, qual.size) != (raw_dim, qual_dim):

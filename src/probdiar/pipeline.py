@@ -7,14 +7,18 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .clustering import AhcConfig, ahc, cut, merge_trace
-from .evalkit import DerReport, Timeline, Turn, aggregate_der, der
+from .evalkit import DerReport, Timeline, Turn, aggregate_der, der, relabel_scorer
 from .extractor import ExtractorModel, extract
 from .plda import DiagPlda
 
 
+def _speakers(labels) -> list[str]:
+    return [f"spk{lab}" for lab in labels]
+
+
 def _timeline(rec, labels) -> Timeline:
-    turns = [Turn(start, sr.duration, f"spk{lab}")
-             for start, sr, lab in zip(rec.starts, rec.records, labels)]
+    turns = [Turn(start, sr.duration, spk)
+             for start, sr, spk in zip(rec.starts, rec.records, _speakers(labels))]
     return Timeline(rec.rec_id, tuple(turns))
 
 
@@ -46,11 +50,12 @@ def evaluate(recordings, model: ExtractorModel, plda: DiagPlda, cfg: AhcConfig,
 
 def _sweep_ders(recordings, cfgs, model: ExtractorModel, plda: DiagPlda):
     """Aggregate DER of the recordings under each config.  Configs of one
-    likelihood scale cut one merge trace; equal labels share one report."""
+    likelihood scale cut one merge trace; equal labels share one report, and
+    all labellings of a recording share its scored pieces."""
     reports = [[] for _ in cfgs]
     for rec in recordings:
         embeddings = [extract(sr, model) for sr in rec.records]
-        ref = reference_timeline(rec)
+        score = relabel_scorer(reference_timeline(rec))
         traces, scored = {}, {}
         for out, cfg in zip(reports, cfgs):
             scale = cfg.likelihood_scale
@@ -58,7 +63,7 @@ def _sweep_ders(recordings, cfgs, model: ExtractorModel, plda: DiagPlda):
                 traces[scale] = merge_trace(embeddings, plda, cfg)
             labels = cut(traces[scale], cfg.sigma)
             if labels not in scored:
-                scored[labels] = der(ref, _timeline(rec, labels))
+                scored[labels] = score(_speakers(labels))
             out.append(scored[labels])
     return [aggregate_der(reps).der for reps in reports]
 

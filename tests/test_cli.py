@@ -277,12 +277,12 @@ class TestErrorsAndUsage:
                     "--out", str(tmp_path / "h.rttm")]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("field, value", [(2, "nan"), (3, "0"),
-                                              (4, "nan,0.2,0.3,0.4")])
+    @pytest.mark.parametrize("field, value", [(2, "nan"), (2, "-5"), (2, "-1e-9"),
+                                              (3, "0"), (4, "nan,0.2,0.3,0.4")])
     def test_bad_corpus_value_is_parse_error(self, workdir, tmp_path, capsys,
                                              field, value):
-        """A NaN start, a zero duration or a NaN raw value names its line
-        (exit 2)."""
+        """A NaN or negative start, a zero duration or a NaN raw value names
+        its line (exit 2)."""
         lines = (workdir / "corpus.tsv").read_text().splitlines()
         parts = lines[2].split("\t")
         parts[field] = value

@@ -1,8 +1,8 @@
 """Agglomerative clustering: exact merge gains, the greedy by-the-book search,
 the WPGMA baseline and its unsupervised calibration, and merge traces cut at
 any sigma.  Oracles: raw recomputation of merge gains, an exhaustive search
-over all partitions, an independently reimplemented WPGMA, and a fresh AHC
-run per sigma."""
+over all partitions, an independently reimplemented WPGMA, a fresh AHC run
+per sigma, and the per-pair loop engines that the array scoring replaced."""
 
 import math
 from dataclasses import replace
@@ -18,6 +18,8 @@ from probdiar.errors import CalibrationError, DomainError
 from probdiar.partitions import canonicalize, enumerate_rgs
 from probdiar.plda import (ClusterStats, DiagPlda, ProbEmbedding, accumulate,
                            cluster_loglik, pairwise_llr)
+
+from .ahc_loop import loop_baseline_trace, loop_book_trace
 
 
 def random_embeddings(rng, n, d=4):
@@ -260,3 +262,37 @@ class TestMergeTrace:
         emb = [ProbEmbedding(np.zeros(2), np.ones(2))]
         for mode in ("by_the_book", "baseline"):
             assert cut(merge_trace(emb, plda, AhcConfig(mode=mode)), 0.0) == (1,)
+
+
+class TestVectorizedEngine:
+    """The array-scored engines against the per-pair loops they replaced:
+    merge records (pairs and scores) and calibration are equal, not close."""
+
+    @staticmethod
+    def recording(rng, n, d, duplicated):
+        embs = []
+        for _ in range(n):
+            prec = rng.uniform(0, 3, d)
+            prec[rng.random(d) < 0.2] = 0.0
+            embs.append(ProbEmbedding(rng.normal(size=d), prec))
+        if duplicated:
+            # a few distinct segments, repeated: equal pair scores tie
+            embs = [embs[k] for k in rng.integers(0, max(1, n // 4), n)]
+        return embs
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 120])
+    @pytest.mark.parametrize("duplicated", [False, True])
+    def test_matches_loop(self, rng, n, duplicated):
+        for d in (24,) if n > 100 else (24, 2, 9):
+            plda = DiagPlda(rng.uniform(0.3, 3.0, d))
+            embs = self.recording(rng, n, d, duplicated)
+            for scale in (1.0, 0.37):
+                got = merge_trace(embs, plda, AhcConfig(likelihood_scale=scale))
+                assert list(got) == list(loop_book_trace(embs, plda, scale))
+            got = merge_trace(embs, plda, AhcConfig(mode="baseline"))
+            want = loop_baseline_trace(embs, plda)
+            assert list(got) == list(want)
+            assert got.calibration == want.calibration
+            if duplicated and n > 10:
+                scores = [score for _, _, score in got.records]
+                assert len(set(scores)) < len(scores)

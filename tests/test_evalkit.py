@@ -1,15 +1,18 @@
 """DER scoring and RTTM I/O.  Oracles: hand-computable layouts, a
-brute-force speaker-mapping search over all permutations, and the per-piece
-loop scorer that the vectorized engine replaced."""
+brute-force speaker-mapping search over all permutations, the per-piece
+loop scorer that the vectorized engine replaced, and `der` itself for the
+relabelling scorer of sigma sweeps."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from probdiar.errors import DomainError, ParseError, ScoringError
 from probdiar.evalkit import (DerReport, Timeline, Turn, aggregate_der, der,
-                              read_rttm, report_table, write_rttm)
+                              read_rttm, relabel_scorer, report_table, write_rttm)
+from probdiar.pipeline import _speakers, _timeline
 
 from .der_loop import loop_der
 
@@ -180,6 +183,55 @@ class TestVectorizedEngine:
         for score in (der, loop_der):
             with pytest.raises(ScoringError):
                 score(ref, ref, collar=10.0, exact=exact)
+
+
+class TestRelabelScorer:
+    """The sweep's per-recording scorer equals `der` on the relabelled
+    timeline exactly, since both build the same boolean activities, and
+    the per-piece loop to rounding."""
+
+    @staticmethod
+    def recording(rng, n, step):
+        starts = rng.uniform(0.0, 12.0, n)
+        durations = rng.uniform(0.2, 3.0, n)
+        if step:
+            starts = step * np.round(starts / step)
+            durations = step * np.maximum(1, np.round(durations / step))
+        return SimpleNamespace(
+            rec_id="r", starts=tuple(float(s) for s in starts),
+            records=tuple(SimpleNamespace(duration=float(d)) for d in durations),
+            labels=tuple(int(k) for k in rng.integers(1, 13, n)))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("collar", [0.0, 0.25])
+    @pytest.mark.parametrize("step", [None, 0.005])
+    def test_matches_der_and_loop(self, rng, exact, collar, step):
+        for n in (1, 5, 13, 13):
+            rec = self.recording(rng, n, step)
+            ref = _timeline(rec, rec.labels)
+            score = relabel_scorer(ref, collar=collar, exact=exact)
+            # one speaker, all singletons (labels up to 13: "spk10" sorts
+            # before "spk2"), and two labellings with ids up to 12
+            labellings = [(1,) * n, tuple(range(1, n + 1)), rec.labels[::-1],
+                          tuple(int(k) for k in rng.integers(1, 13, n))]
+            for labels in labellings:
+                hyp = _timeline(rec, labels)
+                try:
+                    want = der(ref, hyp, collar=collar, exact=exact)
+                except ScoringError:
+                    with pytest.raises(ScoringError):
+                        score(_speakers(labels))
+                    continue
+                got = score(_speakers(labels))
+                assert got == want
+                TestVectorizedEngine.assert_same(ref, hyp, collar=collar, exact=exact)
+
+    def test_errors_match_der(self):
+        with pytest.raises(ScoringError):
+            relabel_scorer(Timeline("r", ()))
+        for collar in (-1.0, float("nan")):
+            with pytest.raises(DomainError):
+                relabel_scorer(tl("r", (0, 1, "a")), collar=collar)
 
 
 class TestAggregate:
