@@ -11,13 +11,14 @@ lazily into a `MergeTrace`, and `cut` replays the prefix a sigma accepts.
 
 Both variants score pairs as array operations.  Cluster statistics are kept
 as (n x D) arrays that merge by row addition, so the pair gains of all
-clusters, or of one merged cluster against the rest, are one broadcast
-through the pooled log-likelihood; they equal `merge_delta` and
-`pairwise_llr` bit for bit.
+clusters (in blocks of pairs), or of one merged cluster against the rest,
+are broadcasts through the pooled log-likelihood; they equal `merge_delta`
+and `pairwise_llr` bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ from .plda import (ClusterStats, DiagPlda, ProbEmbedding, _pooled_loglik,
 
 # precision multiple used to emulate plug-in (infinite-precision) embeddings
 PLUGIN_PREC_FACTOR = 1e12
+
+# pairs scored per broadcast when a recording's pair scores are first filled;
+# bounds the (pairs x D) temporaries
+_PAIR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -52,21 +57,23 @@ def merge_delta(i: ClusterStats, j: ClusterStats) -> float:
 
 class MergeTrace:
     """Greedy merge records (a, b, score) of one recording, pulled lazily
-    from its engine and kept, so that later cuts replay stored records.  An
-    iteration yields the stored records, then pulls and keeps new ones, so
-    two iterations must not interleave.  `calibration` is the baseline's
-    sigma-free threshold (merge while not score < calibration + sigma); None
-    selects the by-the-book rule (merge while score > sigma)."""
+    from its engine and kept, so that later cuts replay stored records.
+    `calibration` is the baseline's sigma-free threshold (merge while not
+    score < calibration + sigma); None selects the by-the-book rule (merge
+    while score > sigma)."""
 
     def __init__(self, n: int, merges, calibration: float | None = None):
         self.n, self.calibration = n, calibration
         self.records, self._merges = [], iter(merges)
 
     def __iter__(self):
-        yield from self.records
-        for record in self._merges:
-            self.records.append(record)
-            yield record
+        for k in itertools.count():
+            if k == len(self.records):
+                record = next(self._merges, None)
+                if record is None:
+                    return
+                self.records.append(record)
+            yield self.records[k]
 
 
 def cut(trace: MergeTrace, sigma: float) -> tuple[int, ...]:
@@ -81,18 +88,14 @@ def cut(trace: MergeTrace, sigma: float) -> tuple[int, ...]:
     return canonicalize(raw.tolist())
 
 
-def _greedy_merges(n: int, upper: np.ndarray, rescore):
+def _greedy_merges(score: np.ndarray, rescore):
     """Yield merge records (a, b, score), best pair first, until one cluster
-    is left.  `upper` holds the scores of the pairs a < b in np.triu_indices
-    order.  They are mirrored into a symmetric matrix, -inf on the diagonal
-    and for retired clusters; scoring the lower triangle in its own order
-    would round differently and break the symmetry.  np.argmax takes the
-    first maximum in row-major order, so ties break on the lowest pair.
-    When b merges into a, `rescore(score, a, b, others)` scores a against
-    the other active clusters before b's row is retired."""
-    score = np.full((n, n), -np.inf)
-    i, j = np.triu_indices(n, k=1)
-    score[i, j] = score[j, i] = upper
+    is left.  `score` is the symmetric matrix of pair scores, -inf on the
+    diagonal and for retired clusters; np.argmax takes the first maximum in
+    row-major order, so ties break on the lowest pair (a, b), a < b.  When b
+    merges into a, `rescore(a, b, others)` scores a against the other active
+    clusters before b's row is retired."""
+    n = score.shape[0]
     alive = np.ones(n, dtype=bool)
     for _ in range(n - 1):
         a, b = divmod(int(np.argmax(score)), n)
@@ -100,39 +103,51 @@ def _greedy_merges(n: int, upper: np.ndarray, rescore):
         alive[b] = False
         others = np.flatnonzero(alive)
         others = others[others != a]
-        score[a, others] = score[others, a] = rescore(score, a, b, others)
+        new = rescore(a, b, others)
         score[b, :] = score[:, b] = -np.inf
+        score[a, others] = score[others, a] = new
+
+
+def _pair_matrix(n: int, pair) -> np.ndarray:
+    """Symmetric (n x n) matrix of the scores pair(i, j) of index arrays
+    i < j, -inf on the diagonal.  The upper triangle is scored and mirrored:
+    scoring the lower one in its own order would round differently and break
+    the tie-break.  Pairs are scored in blocks, which bounds the (pairs x D)
+    temporaries; `_pooled_loglik` reduces each row on its own, so the blocks
+    change no bit."""
+    score = np.full((n, n), -np.inf)
+    i, j = np.triu_indices(n, k=1)
+    for lo in range(0, i.size, _PAIR_BLOCK):
+        bi, bj = i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK]
+        score[bi, bj] = score[bj, bi] = pair(bi, bj)
+    return score
 
 
 def _stacked_stats(embeddings, plda: DiagPlda, scale: float):
-    """Per-segment statistics as (n x D) arrays a_bar, b_bar, the cluster
-    log-likelihood g of each row, and the pairs (i, j), i < j."""
+    """Per-segment statistics as (n x D) arrays a_bar, b_bar, and the
+    cluster log-likelihood g of each row."""
     stats = segment_stats(embeddings, plda, scale)
     if not stats:
         raise DomainError("need at least one segment")
     a_bar = np.array([s.a_bar for s in stats])
     b_bar = np.array([s.b_bar for s in stats])
-    i, j = np.triu_indices(len(stats), k=1)
-    return a_bar, b_bar, _pooled_loglik(a_bar, b_bar), i, j
-
-
-def _merged_loglik(a_bar, b_bar, i, j):
-    """Log-likelihoods of the clusters that pool rows i and j."""
-    return _pooled_loglik(a_bar[i] + a_bar[j], b_bar[i] + b_bar[j])
+    return a_bar, b_bar, _pooled_loglik(a_bar, b_bar)
 
 
 def _book_trace(embeddings, plda: DiagPlda, scale: float) -> MergeTrace:
-    a_bar, b_bar, g, i, j = _stacked_stats(embeddings, plda, scale)
+    a_bar, b_bar, g = _stacked_stats(embeddings, plda, scale)
 
-    def rescore(_, a, b, others):
+    def gain(i, j):
+        return _pooled_loglik(a_bar[i] + a_bar[j], b_bar[i] + b_bar[j]) - g[i] - g[j]
+
+    def rescore(a, b, others):
         # gains of untouched pairs stay exact because stats merge additively
         a_bar[a] += a_bar[b]
         b_bar[a] += b_bar[b]
         g[a] = _pooled_loglik(a_bar[a], b_bar[a])
-        return _merged_loglik(a_bar, b_bar, a, others) - g[a] - g[others]
+        return gain(a, others)
 
-    gain = _merged_loglik(a_bar, b_bar, i, j) - g[i] - g[j]
-    return MergeTrace(len(g), _greedy_merges(len(g), gain, rescore))
+    return MergeTrace(len(g), _greedy_merges(_pair_matrix(len(g), gain), rescore))
 
 
 def ahc_by_the_book(embeddings, plda: DiagPlda, cfg: AhcConfig) -> tuple[int, ...]:
@@ -188,20 +203,21 @@ def unsupervised_calibration(scores) -> float:
 
 def _baseline_trace(embeddings, plda: DiagPlda) -> MergeTrace:
     plugged = [ProbEmbedding(e.xhat, PLUGIN_PREC_FACTOR * plda.w) for e in embeddings]
-    a_bar, b_bar, g, i, j = _stacked_stats(plugged, plda, 1.0)
+    a_bar, b_bar, g = _stacked_stats(plugged, plda, 1.0)
     # grouped as pairwise_llr groups it
-    sim = _merged_loglik(a_bar, b_bar, i, j) - (g[i] + g[j])
+    sim = _pair_matrix(len(g), lambda i, j: _pooled_loglik(a_bar[i] + a_bar[j],
+                                                          b_bar[i] + b_bar[j]) - (g[i] + g[j]))
     try:
-        calibration = unsupervised_calibration(sim)
+        calibration = unsupervised_calibration(sim[np.triu_indices(len(g), k=1)])
     except CalibrationError:
         # too few or degenerate scores to fit the mixture: fall back to the
         # natural zero decision boundary of a log-likelihood ratio
         calibration = 0.0
 
-    def rescore(score, a, b, others):
-        return 0.5 * (score[a, others] + score[b, others])
+    def rescore(a, b, others):
+        return 0.5 * (sim[a, others] + sim[b, others])
 
-    return MergeTrace(len(g), _greedy_merges(len(g), sim, rescore), calibration)
+    return MergeTrace(len(g), _greedy_merges(sim, rescore), calibration)
 
 
 def ahc_baseline(embeddings, plda: DiagPlda, cfg: AhcConfig) -> tuple[int, ...]:

@@ -5,10 +5,11 @@ problem on overlap durations).  One vectorized engine scores both modes over
 boolean (pieces x speakers) activity matrices; the modes differ only in the
 pieces: a 10 ms frame grid by default, or exact turn and collar boundaries.
 
-Relabellings of one reference's turns, as a sigma sweep produces, share
-their pieces.  `relabel_scorer` builds them once with a boolean
-(turns x pieces) activity matrix; a labelling's speaker activities are the
-OR of its speakers' turn rows, the same booleans `der` builds.
+Piece midpoints ascend, so the pieces a turn is active on form one index
+range.  Relabellings of one reference's turns, as a sigma sweep produces,
+share their pieces and ranges: `relabel_scorer` builds them once, and a
+labelling's speaker activities set its speakers' ranges, the same booleans
+`der` builds.
 """
 
 from __future__ import annotations
@@ -137,24 +138,23 @@ def _scored_pieces(ref: Timeline, hyp: Timeline, collar: float, exact: bool):
     return (b - a)[scored], mid[scored]
 
 
-def _activity(turn_on: np.ndarray, speakers) -> np.ndarray:
-    """Boolean (pieces x sorted speakers) matrix: the OR of the rows of
-    `turn_on` (turns x pieces) over each speaker's turns.  It is a
-    transposed speaker-major array, which keeps each OR and the per-piece
-    speaker counts in `_report` on contiguous memory."""
+def _turn_ranges(turns, mid: np.ndarray) -> list[tuple[int, int]]:
+    """Index ranges [lo, hi) of the pieces whose midpoint each turn contains
+    (start < mid < end); contiguous because the midpoints ascend."""
+    lo = np.searchsorted(mid, [t.start for t in turns], side="right")
+    hi = np.searchsorted(mid, [t.end for t in turns], side="left")
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
+def _activity(ranges, speakers, n_pieces: int) -> np.ndarray:
+    """Boolean (pieces x sorted speakers) matrix: speakers[k] is active on
+    the pieces of ranges[k].  It is a transposed speaker-major array, which
+    keeps the per-piece speaker counts in `_report` on contiguous memory."""
     column = {s: i for i, s in enumerate(sorted(set(speakers)))}
-    active = np.zeros((len(column), turn_on.shape[1]), dtype=bool)
-    for k, s in enumerate(speakers):
-        active[column[s]] |= turn_on[k]
+    active = np.zeros((len(column), n_pieces), dtype=bool)
+    for (lo, hi), s in zip(ranges, speakers):
+        active[column[s], lo:hi] = True
     return active.T
-
-
-def _turns_on(turns, mid: np.ndarray) -> np.ndarray:
-    """Boolean (turns x pieces) matrix of turns containing each midpoint."""
-    on = np.empty((len(turns), mid.size), dtype=bool)
-    for k, t in enumerate(turns):
-        on[k] = (t.start < mid) & (mid < t.end)
-    return on
 
 
 def _report(rec_id, dur, ref_on, hyp_on) -> DerReport:
@@ -185,8 +185,8 @@ def der(ref: Timeline, hyp: Timeline, collar: float = 0.0, exact: bool = False) 
     if ref.rec_id != hyp.rec_id:
         raise ScoringError(f"recording ids differ: {ref.rec_id!r} vs {hyp.rec_id!r}")
     dur, mid = _scored_pieces(ref, hyp, collar, exact)
-    ref_on = _activity(_turns_on(ref.turns, mid), [t.speaker for t in ref.turns])
-    hyp_on = _activity(_turns_on(hyp.turns, mid), [t.speaker for t in hyp.turns])
+    ref_on = _activity(_turn_ranges(ref.turns, mid), [t.speaker for t in ref.turns], mid.size)
+    hyp_on = _activity(_turn_ranges(hyp.turns, mid), [t.speaker for t in hyp.turns], mid.size)
     return _report(ref.rec_id, dur, ref_on, hyp_on)
 
 
@@ -194,9 +194,10 @@ def relabel_scorer(ref: Timeline, collar: float = 0.0, exact: bool = False):
     """`score(speakers)`, the report of `der(ref, hyp, collar, exact)` for the
     hypothesis with ref's turns, where turn k is spoken by speakers[k]."""
     dur, mid = _scored_pieces(ref, ref, collar, exact)
-    turn_on = _turns_on(ref.turns, mid)
-    ref_on = _activity(turn_on, [t.speaker for t in ref.turns])
-    return lambda speakers: _report(ref.rec_id, dur, ref_on, _activity(turn_on, speakers))
+    ranges = _turn_ranges(ref.turns, mid)
+    ref_on = _activity(ranges, [t.speaker for t in ref.turns], mid.size)
+    return lambda speakers: _report(ref.rec_id, dur, ref_on,
+                                    _activity(ranges, speakers, mid.size))
 
 
 def aggregate_der(reports) -> DerReport:

@@ -1,35 +1,15 @@
 """Reference AHC engines for the tests: the per-pair Python loops that the
 vectorized gain and similarity matrices in `probdiar.clustering` replaced,
-kept verbatim with the greedy selection they fed.  Each pair is scored
-through the public `merge_delta` and `pairwise_llr`, so it is slow but easy
-to check by eye."""
+kept verbatim.  They feed the engine's own greedy selection and differ from
+it only in how pair scores are filled: each pair through the public
+`merge_delta` and `pairwise_llr`, so it is slow but easy to check by eye."""
 
 import numpy as np
 
-from probdiar.clustering import (PLUGIN_PREC_FACTOR, MergeTrace, merge_delta,
-                                 unsupervised_calibration)
+from probdiar.clustering import (PLUGIN_PREC_FACTOR, MergeTrace, _greedy_merges,
+                                 merge_delta, unsupervised_calibration)
 from probdiar.errors import CalibrationError, DomainError
 from probdiar.plda import DiagPlda, ProbEmbedding, pairwise_llr, segment_stats
-
-
-def _greedy_merges(score: np.ndarray, rescore):
-    """Yield merge records (a, b, score), best pair first, until one cluster
-    is left.  `score` is the symmetric matrix of pair scores, -inf on the
-    diagonal and for retired clusters; np.argmax takes the first maximum in
-    row-major order, so ties break on the lowest pair (a, b), a < b.  When b
-    merges into a, `rescore(a, b, others)` scores a against the other active
-    clusters before b's row is retired."""
-    n = score.shape[0]
-    alive = np.ones(n, dtype=bool)
-    for _ in range(n - 1):
-        a, b = divmod(int(np.argmax(score)), n)
-        yield a, b, float(score[a, b])
-        alive[b] = False
-        others = np.flatnonzero(alive)
-        others = others[others != a]
-        new = rescore(a, b, others)
-        score[b, :] = score[:, b] = -np.inf
-        score[a, others] = score[others, a] = new
 
 
 def _plugin_embedding(emb: ProbEmbedding, plda: DiagPlda) -> ProbEmbedding:

@@ -5,12 +5,14 @@ over all partitions, an independently reimplemented WPGMA, a fresh AHC run
 per sigma, and the per-pair loop engines that the array scoring replaced."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import probdiar as pd
+from probdiar import clustering
 from probdiar.clustering import (PLUGIN_PREC_FACTOR, AhcConfig, ahc, ahc_baseline,
                                  ahc_by_the_book, cut, merge_delta, merge_trace,
                                  unsupervised_calibration)
@@ -257,6 +259,15 @@ class TestMergeTrace:
             cut(trace, -np.inf)
             assert [r[:2] for r in trace.records[:2]] == [(0, 2), (1, 3)]
 
+    def test_interleaved_iterations_see_every_record(self, rng):
+        trace = merge_trace(random_embeddings(rng, 6), DiagPlda(np.ones(4)), AhcConfig())
+        outer, inner = iter(trace), iter(trace)
+        seen = [next(outer)]
+        ahead = [next(inner), next(inner)]
+        seen += list(outer)
+        assert seen == ahead + list(inner) == trace.records
+        assert len(seen) == 5
+
     def test_single_segment(self):
         plda = DiagPlda(np.ones(2))
         emb = [ProbEmbedding(np.zeros(2), np.ones(2))]
@@ -296,3 +307,33 @@ class TestVectorizedEngine:
             if duplicated and n > 10:
                 scores = [score for _, _, score in got.records]
                 assert len(set(scores)) < len(scores)
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_blocked_fill_matches_loop(self, rng, monkeypatch, block):
+        """Pair blocks that end mid-row leave every record unchanged."""
+        monkeypatch.setattr(clustering, "_PAIR_BLOCK", block)
+        for n in (2, 17, 40):
+            plda = DiagPlda(rng.uniform(0.3, 3.0, 9))
+            embs = self.recording(rng, n, 9, duplicated=n > 10)
+            got = merge_trace(embs, plda, AhcConfig(likelihood_scale=0.37))
+            assert list(got) == list(loop_book_trace(embs, plda, 0.37))
+            got = merge_trace(embs, plda, AhcConfig(mode="baseline"))
+            want = loop_baseline_trace(embs, plda)
+            assert list(got) == list(want)
+            assert got.calibration == want.calibration
+
+    def test_first_fill_memory_is_bounded(self, rng):
+        """The first pair scores of 1500 segments need the (n x n) score
+        matrix and its pair indices, about 36 MB, while one broadcast over
+        all pairs would make (pairs x D) temporaries of 144 MB each."""
+        d = 16
+        plda = DiagPlda(rng.uniform(0.3, 3.0, d))
+        embs = [ProbEmbedding(x, p) for x, p in zip(rng.normal(size=(1500, d)),
+                                                    rng.uniform(0, 3, (1500, d)))]
+        tracemalloc.start()
+        try:
+            merge_trace(embs, plda, AhcConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80e6

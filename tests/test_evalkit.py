@@ -4,14 +4,16 @@ loop scorer that the vectorized engine replaced, and `der` itself for the
 relabelling scorer of sigma sweeps."""
 
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from probdiar.errors import DomainError, ParseError, ScoringError
-from probdiar.evalkit import (DerReport, Timeline, Turn, aggregate_der, der,
-                              read_rttm, relabel_scorer, report_table, write_rttm)
+from probdiar.evalkit import (DerReport, Timeline, Turn, _activity, _scored_pieces,
+                              _turn_ranges, aggregate_der, der, read_rttm,
+                              relabel_scorer, report_table, write_rttm)
 from probdiar.pipeline import _speakers, _timeline
 
 from .der_loop import loop_der
@@ -225,6 +227,43 @@ class TestRelabelScorer:
                 got = score(_speakers(labels))
                 assert got == want
                 TestVectorizedEngine.assert_same(ref, hyp, collar=collar, exact=exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("collar", [0.0, 0.25])
+    def test_ranges_equal_turn_masks(self, rng, exact, collar):
+        """Each turn's piece range holds exactly the midpoints it contains,
+        also when turn boundaries fall on frame midpoints."""
+        for step in (None, 0.005):
+            rec = self.recording(rng, 13, step)
+            ref = _timeline(rec, rec.labels)
+            _, mid = _scored_pieces(ref, ref, collar, exact)
+            speakers = [t.speaker for t in ref.turns]
+            want = np.zeros((mid.size, len(ref.speakers())), dtype=bool)
+            for t in ref.turns:
+                want[:, ref.speakers().index(t.speaker)] |= (t.start < mid) & (mid < t.end)
+            assert np.array_equal(_activity(_turn_ranges(ref.turns, mid), speakers, mid.size),
+                                  want)
+
+    def test_long_recording_memory_is_bounded(self, rng):
+        """An hour of 1000 turns in 10 ms frames is 360k pieces: one
+        (turns x pieces) boolean matrix would take 360 MB."""
+        starts = np.sort(rng.uniform(0.0, 3590.0, 1000))
+        rec = SimpleNamespace(
+            rec_id="r", starts=tuple(float(s) for s in starts),
+            records=tuple(SimpleNamespace(duration=float(d))
+                          for d in rng.uniform(1.0, 10.0, 1000)),
+            labels=tuple(int(k) for k in rng.integers(1, 5, 1000)))
+        ref = _timeline(rec, rec.labels)
+        labels = tuple(int(k) for k in rng.integers(1, 5, 1000))
+        tracemalloc.start()
+        try:
+            want = der(ref, _timeline(rec, labels))
+            got = relabel_scorer(ref)(_speakers(labels))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 100e6
 
     def test_errors_match_der(self):
         with pytest.raises(ScoringError):
