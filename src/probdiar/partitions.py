@@ -118,7 +118,8 @@ class PartitionTables:
     `seg_subset` is n-by-(2^n - 1): column c marks the segments in nonempty
     subset c+1 (bitmask order).  `part_subset` is B_n-by-(2^n - 1): row r
     marks the subsets that are the clusters of partition rgs[r].  Both are
-    0/1 CSR matrices.
+    0/1 CSR matrices; `seg_dense` is `seg_subset` as a dense array, built once
+    for the scoring kernels.
     """
 
     n: int
@@ -128,6 +129,10 @@ class PartitionTables:
     seg_subset: sp.csr_matrix = field(repr=False)
     part_subset: sp.csr_matrix = field(repr=False)
     index: dict = field(repr=False)
+    seg_dense: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "seg_dense", self.seg_subset.toarray())
 
     @property
     def n_subsets(self) -> int:

@@ -10,6 +10,7 @@ verification gate.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -54,8 +55,10 @@ class TrainConfig:
     hidden: int | None = None
 
     def __post_init__(self):
-        if self.lr_net < 0 or not 0 < self.lr_ratio <= 1:
-            raise DomainError("learning rates must be nonnegative, lr_ratio in (0, 1]")
+        if not 0 <= self.lr_net < np.inf or not 0 < self.lr_ratio <= 1:
+            raise DomainError("lr_net must be finite and nonnegative, lr_ratio in (0, 1]")
+        if not 0 <= self.momentum < 1:
+            raise DomainError("momentum must be in [0, 1)")
         if self.batch_size < 1 or self.n < 2 or self.epochs < 0:
             raise DomainError("batch_size, n and epochs out of range")
 
@@ -104,20 +107,71 @@ def sample_octets(corpus, n: int, rng):
 
 
 def _batch_arrays(batch, tables: PartitionTables):
+    if not batch:
+        raise DataError("batch has no tuples")
     raw = np.stack([[r.raw for r in trial.records] for trial in batch])
     quality = np.stack([[r.quality for r in trial.records] for trial in batch])
     truth = np.array([tables.rgs_index(trial.truth) for trial in batch])
     return raw, quality, truth
 
 
+# tuples scored at once by `_forward_backward`.  A workspace of this many
+# rows takes ~7.4 MB for n=8, D=8.  On a B=100 step plus a B=200 held-out
+# forward (one thread), 32-64 rows time within noise of each other and 48
+# had the lowest median
+_TUPLE_BLOCK = 48
+
+
+class _Workspace:
+    """Buffers of `_forward_backward` for blocks of `rows` tuples, clamped to
+    [2, _TUPLE_BLOCK]: (rows, 2^n - 1) subset log-likelihoods, five
+    (rows, 2^n - 1, D) arrays (the pooled stats and three scratch arrays)
+    and the (rows, B_n) posterior buffers of `partition_log_posterior`,
+    F-ordered as it needs.  One workspace serves every batch size: a block
+    uses its leading rows, and everything it reads there it has written
+    first.  `_forward_backward` needs two rows for a batch of two or more."""
+
+    def __init__(self, tables: PartitionTables, dim: int, rows: int = _TUPLE_BLOCK):
+        rows = min(max(rows, 2), _TUPLE_BLOCK)
+        n_sub, n_part = tables.n_subsets, tables.n_partitions
+        self.rows = rows
+        # the float buffers share one allocation: once it is freed, glibc
+        # serves the next workspace of that size from pages it keeps mapped,
+        # where eight separate arrays are unmapped and fault in again
+        shapes = [(rows, n_sub)] + [(rows, n_sub, dim)] * 5 + [(n_part, rows)] * 2
+        flat = np.empty(sum(math.prod(sh) for sh in shapes))
+        views, at = [], 0
+        for sh in shapes:
+            views.append(flat[at:at + math.prod(sh)].reshape(sh))
+            at += math.prod(sh)
+        self.g, *self.stats, logits, q = views
+        self.logits, self.q = logits.T, q.T
+        self.top = np.empty((n_part, rows), dtype=bool).T
+
+
 def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda,
-                      tables: PartitionTables, want_grad: bool):
+                      tables: PartitionTables, want_grad: bool,
+                      ws: _Workspace | None = None):
     """Mean cross-entropy over the batch and, optionally, its gradients.
 
     Shapes: raw (B, n, R), quality (B, n, Q), truth (B,).
+
+    The per-tuple stages (subset pooling and likelihoods, the partition
+    posterior, the softmax backward and the pooled-stats backward down to
+    each segment's d_ex and d_e) run on blocks of `ws.rows` tuples in the
+    buffers of the workspace `ws` (a fresh one when None), so a batch of any
+    size allocates no (B, B_n) or (B, 2^n - 1, D) array.  The in-place
+    operations keep the order of the unblocked expressions, each tuple is
+    reduced on its own, and the posterior buffers are F-ordered like the
+    unblocked logits (see `partition_log_posterior`), so the loss and
+    gradients have the bits of an unblocked pass.  The extractor's forward
+    and the parameter contractions run over the whole batch.
     """
     net = model.net
     w = plda.w
+    n_batch = raw.shape[0]
+    if ws is None:
+        ws = _Workspace(tables, plda.dim, n_batch)
 
     z1 = quality @ net.W1.T + net.b1
     h = softplus(z1)
@@ -125,27 +179,52 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
     b = softplus(z2)
     xh = raw @ model.A.T
     e = segment_weight(plda, b)
-    g, a_bar, b_bar = subset_logliks(e, xh, tables)
-    log_post = partition_log_posterior(g, tables)
-    n_batch = raw.shape[0]
-    loss = float(np.mean(-log_post[np.arange(n_batch), truth]))
+
+    nll = np.empty(n_batch)
+    if want_grad:
+        s = tables.seg_dense                                       # (n, C)
+        d_ex = np.empty_like(e)
+        d_e = np.empty_like(e)
+    for start in range(0, n_batch, ws.rows):
+        hi = min(start + ws.rows, n_batch)
+        # numpy sums the posterior of a one-row block pairwise, and the rows
+        # of a longer one one after another: a last block of one tuple is
+        # scored again with the tuple before it, as in an unblocked batch
+        lo = max(min(start, hi - 2), 0)
+        m = hi - lo
+        i = np.arange(m)
+        t = truth[lo:hi]
+        a_bar, b_bar, t1, t2, t3 = (x[:m] for x in ws.stats)
+        g, a_bar, b_bar = subset_logliks(e[lo:hi], xh[lo:hi], tables,
+                                         out=(ws.g[:m], a_bar, b_bar, (t1, t2)))
+        log_post = partition_log_posterior(g, tables,
+                                           out=(ws.logits[:m], ws.q[:m], ws.top[:m]))
+        nll[lo:hi] = -log_post[i, t]
+        if not want_grad:
+            continue
+
+        # the softmax as exp(log posterior) under the posterior's clip keeps
+        # the bits of the unclipped one; q / (1 + sum q) rounds differently.
+        # It overwrites log_post, which is not needed after the loss.
+        p = np.exp(np.maximum(log_post, -700.0, out=log_post), out=log_post)
+        p[i, t] -= 1.0
+        p /= n_batch                                               # dloss/dlogits
+        dg = (tables.part_subset.T @ p.T).T[:, :, None]            # (block, C, 1)
+        den = np.add(1.0, b_bar, out=t2)
+        # d_a_bar = dg * a_bar / den
+        np.matmul(s, np.divide(np.multiply(dg, a_bar, out=t1), den, out=t1),
+                  out=d_ex[lo:hi])
+        # d_b_bar = dg * (-0.5) * (a_bar ** 2 / den ** 2 + 1.0 / den)
+        np.square(a_bar, out=t1)
+        t1 /= np.square(den, out=t3)
+        t1 += np.divide(1.0, den, out=t3)
+        t1 *= dg * (-0.5)
+        np.multiply(d_ex[lo:hi], xh[lo:hi], out=d_e[lo:hi])
+        d_e[lo:hi] += s @ t1
+    loss = float(np.mean(nll))
     if not want_grad:
         return loss, None
 
-    # the softmax as exp(log posterior) under the posterior's clip keeps the
-    # bits of the unclipped one; q / (1 + sum q) rounds differently.  It
-    # overwrites log_post, which is not needed after the loss.
-    p = np.exp(np.maximum(log_post, -700.0, out=log_post), out=log_post)
-    p[np.arange(n_batch), truth] -= 1.0
-    p /= n_batch                                                   # dloss/dlogits
-    dg = (tables.part_subset.T @ p.T).T                            # (B, C)
-
-    s = tables.seg_subset.toarray()                                # (n, C)
-    den = 1.0 + b_bar
-    d_a_bar = dg[:, :, None] * a_bar / den
-    d_b_bar = dg[:, :, None] * (-0.5) * (a_bar ** 2 / den ** 2 + 1.0 / den)
-    d_ex = s @ d_a_bar
-    d_e = d_ex * xh + s @ d_b_bar
     d_xh = d_ex * e
 
     ratio_w = w / (w + b)        # de/db = (w/(w+b))^2
@@ -210,7 +289,8 @@ def finite_difference_check(batch, model: ExtractorModel, plda: DiagPlda,
     dominate the reported error.
     """
     raw, quality, truth = _batch_arrays(batch, tables)
-    _, grads = _forward_backward(raw, quality, truth, model, plda, tables, True)
+    ws = _Workspace(tables, plda.dim, len(batch))
+    _, grads = _forward_backward(raw, quality, truth, model, plda, tables, True, ws)
     params = _get_params(model, plda)
     if scale_floor:
         gmax = max(float(np.max(np.abs(g))) for g in grads.groups().values())
@@ -227,7 +307,8 @@ def finite_difference_check(batch, model: ExtractorModel, plda: DiagPlda,
                 p2 = dict(params)
                 p2[name] = flat.reshape(arr.shape)
                 m2, d2 = _set_params(p2)
-                loss, _ = _forward_backward(raw, quality, truth, m2, d2, tables, False)
+                loss, _ = _forward_backward(raw, quality, truth, m2, d2, tables,
+                                            False, ws)
                 vals[k] = loss
             flat[i] = orig
             fd = (8.0 * (vals[1] - vals[-1]) - (vals[2] - vals[-2])) / (12.0 * step)
@@ -282,12 +363,17 @@ def train(cfg: TrainConfig, corpus, init=None, tables: PartitionTables | None = 
     ss_sampler, ss_heldout, ss_check = root.spawn(3)
     stream = sample_octets(train_recs, cfg.n, np.random.default_rng(ss_sampler))
 
-    heldout_batch = None
+    # one workspace for every step and held-out forward
+    ws = _Workspace(tables, plda.dim)
+    heldout = None
     if heldout_recs:
         hrng = np.random.default_rng(ss_heldout)
         hstream = sample_octets(heldout_recs, cfg.n, hrng)
         n_held = min(200, 4 * cfg.batch_size)
-        heldout_batch = [next(hstream) for _ in range(n_held)]
+        try:
+            heldout = _batch_arrays([next(hstream) for _ in range(n_held)], tables)
+        except DataError:
+            pass  # no held-out recording has n segments: as if there were none
 
     if cfg.check:
         crng = np.random.default_rng(ss_check)
@@ -307,9 +393,9 @@ def train(cfg: TrainConfig, corpus, init=None, tables: PartitionTables | None = 
     batches_per_epoch = max(1, octets_per_epoch // cfg.batch_size)
 
     def heldout_ce(m, d):
-        if heldout_batch is None:
+        if heldout is None:
             return float("nan")
-        return cross_entropy(heldout_batch, m, d, tables)
+        return _forward_backward(*heldout, m, d, tables, False, ws)[0]
 
     result = TrainResult(model=model, plda=plda)
     model_c, plda_c = model, plda
@@ -320,7 +406,7 @@ def train(cfg: TrainConfig, corpus, init=None, tables: PartitionTables | None = 
             batch = [next(stream) for _ in range(cfg.batch_size)]
             raw, quality, truth = _batch_arrays(batch, tables)
             loss, grads = _forward_backward(raw, quality, truth, model_c, plda_c,
-                                            tables, True)
+                                            tables, True, ws)
             if not np.isfinite(loss):
                 chk = _set_params(last_good)
                 raise TrainingError(f"loss diverged at epoch {epoch}", checkpoint=chk)

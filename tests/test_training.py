@@ -1,6 +1,10 @@
 """Octet sampling, the cross-entropy objective, analytic gradients and the
 SGD loop.  Oracles: the brute-force partition scorer, central finite
-differences and a reference kernel built on einsum and logsumexp."""
+differences, a reference kernel built on einsum and logsumexp, and the
+unblocked kernel of `tests/kernel_loop.py`."""
+
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +15,14 @@ from probdiar.errors import DataError, DomainError, TrainingError
 from probdiar.extractor import ExtractorModel, PrecisionNet, SegmentRecord, softplus
 from probdiar.io import CorpusRecording
 from probdiar.partitions import CrpParams, build_tables, canonicalize, fit_crp
-from probdiar.plda import DiagPlda
-from probdiar.training import (OctetTrial, TrainConfig, _batch_arrays,
+from probdiar.plda import (DiagPlda, partition_log_posterior, segment_weight,
+                           subset_logliks)
+from probdiar.training import (_TUPLE_BLOCK, OctetTrial, TrainConfig, _batch_arrays,
                                _forward_backward, _get_params, _set_params,
-                               cross_entropy, finite_difference_check,
+                               _Workspace, cross_entropy, finite_difference_check,
                                fit_corpus_crp, gradients, sample_octets, train)
 
+from . import kernel_loop
 from .conftest import brute_force_log_posterior
 
 
@@ -126,6 +132,13 @@ class TestCrossEntropy:
         assert cross_entropy(batch, model, plda, tables) == pytest.approx(
             np.mean(losses), rel=1e-12)
 
+    def test_empty_batch_is_data_error(self, tables_by_n, rng):
+        model, plda = random_model(rng)
+        with pytest.raises(DataError):
+            cross_entropy([], model, plda, tables_by_n[4])
+        with pytest.raises(DataError):
+            gradients([], model, plda, tables_by_n[4])
+
 
 class TestGradients:
     def test_matches_finite_differences(self, tables_by_n, rng):
@@ -206,10 +219,30 @@ def reference_forward_backward(raw, quality, truth, model, plda, tables):
     return loss, grads, logits
 
 
+def assert_same_bits(got, want):
+    """(loss, GradientSet or None) pairs are equal, not just close."""
+    assert got[0] == want[0]
+    assert (got[1] is None) == (want[1] is None)
+    if want[1] is not None:
+        for name, arr in want[1].groups().items():
+            np.testing.assert_array_equal(got[1].groups()[name], arr, err_msg=name)
+
+
+def blocked_octets(corpus, margin):
+    """An n=8 batch of 2 * _TUPLE_BLOCK + 3 tuples with its model."""
+    tables = build_tables(8, CrpParams(1.0, 0.1))
+    model, plda = pd.init_extractor(corpus.full_plda, seed=0, margin=margin,
+                                    quality_dim=2)
+    stream = sample_octets(corpus.recordings, 8, np.random.default_rng(7))
+    batch = list(itertools.islice(stream, 2 * _TUPLE_BLOCK + 3))
+    return _batch_arrays(batch, tables), model, plda, tables
+
+
 class TestKernel:
     """`_forward_backward` against the reference kernel on an n=8 batch of a
     plug-in (margin 100) model, whose worst partitions sit so far below the
-    best one that their shifted logits underflow exp."""
+    best one that their shifted logits underflow exp, and against the
+    unblocked kernel of `tests/kernel_loop.py`, bit for bit."""
 
     @pytest.fixture(scope="class")
     def octets(self, small_corpus):
@@ -248,6 +281,85 @@ class TestKernel:
             loss, _ = _forward_backward(raw, quality, truth, bad_model, bad_plda,
                                         tables, False)
         assert not np.isfinite(loss)
+
+    # `_forward_backward` scores blocks of tuples in a reused workspace and
+    # must give the bits of the unblocked kernel in `tests/kernel_loop.py`
+
+    @pytest.fixture(scope="class", params=[10.0, 100.0], ids=["margin10", "margin100"])
+    def setup(self, request, small_corpus):
+        return blocked_octets(small_corpus, request.param)
+
+    @pytest.mark.parametrize("want_grad", [False, True])
+    @pytest.mark.parametrize("size", [1, _TUPLE_BLOCK - 1, _TUPLE_BLOCK, _TUPLE_BLOCK + 1,
+                                      2 * _TUPLE_BLOCK + 3, 200])
+    def test_matches_unblocked(self, setup, size, want_grad):
+        arrays, model, plda, tables = setup
+        arrays = tuple(np.resize(x, (size,) + x.shape[1:]) for x in arrays)
+        assert_same_bits(
+            _forward_backward(*arrays, model, plda, tables, want_grad),
+            kernel_loop._forward_backward(*arrays, model, plda, tables, want_grad))
+
+    @pytest.mark.parametrize("rows", [2, 3, 10])
+    def test_small_blocks(self, setup, rows):
+        arrays, model, plda, tables = setup
+        ws = _Workspace(tables, plda.dim, rows)
+        for size in (2, 3, 7, 31):
+            part = tuple(x[:size] for x in arrays)
+            assert_same_bits(
+                _forward_backward(*part, model, plda, tables, True, ws),
+                kernel_loop._forward_backward(*part, model, plda, tables, True))
+
+    def test_one_tuple_last_block(self, small_corpus):
+        """A tuple whose posterior rounds differently alone than in a batch
+        (numpy sums one row pairwise and several down the rows) still gets
+        the batch's bits when it is alone in the last block.  A weak PLDA
+        gives a broad posterior, whose sum has many terms that round."""
+        arrays, model, plda, tables = blocked_octets(small_corpus, 10.0)
+        plda = DiagPlda(0.01 * plda.w)
+        (raw, quality, _), net = arrays, model.net
+        prec = softplus(softplus(quality @ net.W1.T + net.b1) @ net.W2.T + net.b2)
+        g, _, _ = subset_logliks(segment_weight(plda, prec), raw @ model.A.T, tables)
+        for i in range(g.shape[0]):
+            if not np.array_equal(partition_log_posterior(g[[i]], tables),
+                                  partition_log_posterior(g[[i, i]], tables)[:1]):
+                break
+        else:
+            pytest.fail("no tuple rounds differently alone")
+        batch = tuple(np.concatenate([x[:_TUPLE_BLOCK], x[i:i + 1]]) for x in arrays)
+        for want_grad in (False, True):
+            assert_same_bits(
+                _forward_backward(*batch, model, plda, tables, want_grad),
+                kernel_loop._forward_backward(*batch, model, plda, tables, want_grad))
+
+    def test_reused_workspace(self, setup):
+        """Buffers left over from a larger batch do not leak into a smaller
+        one: one workspace over 200, 37 and 100 tuples gives the bits of a
+        fresh workspace for each."""
+        arrays, model, plda, tables = setup
+        arrays = tuple(np.resize(x, (200,) + x.shape[1:]) for x in arrays)
+        ws = _Workspace(tables, plda.dim)
+        for size in (200, 37, 100):
+            part = tuple(x[:size] for x in arrays)
+            for want_grad in (True, False):
+                assert_same_bits(
+                    _forward_backward(*part, model, plda, tables, want_grad, ws),
+                    _forward_backward(*part, model, plda, tables, want_grad,
+                                      _Workspace(tables, plda.dim)))
+
+    def test_forward_memory_is_bounded(self, setup):
+        """A forward pass of 1000 tuples allocates one workspace (~10 MB) and
+        its (1000, n, D) extractor outputs (~4 MB), below one (1000, B_n)
+        float64 array (33 MB) or one (1000, 2^n - 1, D) array (16 MB) on
+        top of them."""
+        arrays, model, plda, tables = setup
+        arrays = tuple(np.resize(x, (1000,) + x.shape[1:]) for x in arrays)
+        tracemalloc.start()
+        try:
+            _forward_backward(*arrays, model, plda, tables, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestTrain:
@@ -305,6 +417,30 @@ class TestTrain:
             TrainConfig(lr_ratio=0.0)
         with pytest.raises(DomainError):
             TrainConfig(n=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr_net", np.nan), ("lr_net", np.inf), ("lr_ratio", np.nan),
+        ("momentum", np.nan), ("momentum", -0.1), ("momentum", 1.0),
+        ("momentum", np.inf)])
+    def test_non_finite_or_out_of_range_rates(self, field, value):
+        with pytest.raises(DomainError):
+            TrainConfig(**{field: value})
+
+    def test_momentum_in_range_accepted(self):
+        assert TrainConfig(momentum=0.9).momentum == 0.9
+
+    def test_short_heldout_split_counts_as_absent(self, small_corpus):
+        """Held-out recordings all shorter than n leave the held-out CE NaN
+        with a warning per recording, as if there were none."""
+        recs = [r if r.split == "train" else
+                CorpusRecording(r.rec_id, r.records[:5], r.labels[:5], r.starts[:5],
+                                "heldout")
+                for r in small_corpus.recordings]
+        init = pd.init_extractor(small_corpus.full_plda, seed=0, quality_dim=2)
+        with pytest.warns(UserWarning, match="fewer than 8 segments"):
+            result = train(TrainConfig(epochs=2, seed=0), recs, init=init)
+        assert len(result.history) == 2
+        assert all(np.isfinite(tr) and np.isnan(ho) for _, tr, ho in result.history)
 
 
 class TestFitCorpusCrp:
