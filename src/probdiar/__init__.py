@@ -6,8 +6,9 @@ __version__ = "0.1.0"
 from .clustering import AhcConfig, ahc, ahc_baseline, ahc_by_the_book, merge_delta, \
     unsupervised_calibration
 from .evalkit import DerReport, Timeline, Turn, aggregate_der, der, read_rttm, write_rttm
-from .extractor import (ExtractorModel, PrecisionNet, SegmentRecord, SyntheticConfig,
-                        estimate_full_plda, extract, generate_corpus, init_extractor)
+from .extractor import (Corpus, ExtractorModel, PrecisionNet, Recording, SegmentRecord,
+                        SyntheticConfig, estimate_full_plda, extract, generate_corpus,
+                        init_extractor)
 from .partitions import (CrpParams, PartitionTables, bell_number, build_tables,
                          canonicalize, crp_log_prob, enumerate_rgs, fit_crp)
 from .plda import (ClusterStats, DiagPlda, FullPlda, ProbEmbedding, accumulate,

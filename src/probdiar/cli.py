@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .clustering import AhcConfig
 from .errors import (CalibrationError, DataError, DecompositionError, DomainError,
                      ScoringError, ShapeError, SizeError, TrainingError)
 from .evalkit import aggregate_der, der, read_rttm, report_table, write_rttm
-from .extractor import SyntheticConfig, estimate_full_plda, generate_corpus
+from .extractor import Corpus, SyntheticConfig, estimate_full_plda, generate_corpus
 from .io import (MODEL_FORMAT_VERSION, load_corpus, load_model, save_corpus,
                  save_history, save_model)
 from .partitions import CrpParams, build_tables, enumerate_rgs
@@ -124,13 +125,12 @@ def cmd_train(args):
     # hold out a fraction of recordings (disjoint speakers: the synthetic
     # generator never shares speakers across recordings)
     n_held = max(1, int(round(0.25 * len(recordings))))
-    for i, rec in enumerate(recordings):
-        rec.split = "heldout" if i < n_held else "train"
-    train_recs = [r for r in recordings if r.split == "train"]
+    recordings = [replace(rec, split="heldout" if i < n_held else "train")
+                  for i, rec in enumerate(recordings)]
+    train_recs = recordings[n_held:]
     if not train_recs:
         raise DataError(f"corpus has {len(recordings)} recording(s), all held out; "
                         f"training needs at least two")
-    full = estimate_full_plda(train_recs)
 
     margin = args.margin if args.margin is not None else \
         (100.0 if args.freeze_net else 10.0)
@@ -138,17 +138,7 @@ def cmd_train(args):
                       lr_ratio=args.lr_ratio, epochs=args.epochs, seed=args.seed,
                       train_net=not args.freeze_net, check=args.check,
                       margin=margin)
-    from .extractor import init_extractor
-    init = init_extractor(full, seed=cfg.seed, margin=cfg.margin,
-                          quality_dim=recordings[0].records[0].quality.shape[0])
-
-    class _Corpus:
-        pass
-
-    corpus = _Corpus()
-    corpus.recordings = tuple(recordings)
-    corpus.full_plda = full
-    result = train(cfg, corpus, init=init)
+    result = train(cfg, Corpus(recordings, estimate_full_plda(train_recs)))
     save_model(args.out, result.model, result.plda)
     if args.history:
         save_history(args.history, result.history)

@@ -1,9 +1,11 @@
-"""Probabilistic embedding extraction and a synthetic corpus generator.
+"""Probabilistic embedding extraction, the corpus types and a synthetic
+corpus generator.
 
 The extractor maps a per-segment feature record to a probabilistic embedding:
 a trainable linear transform produces the mean, and a small
 linear-softplus-linear-softplus network maps quality features to diagonal
-precisions.  The synthetic generator stands in for a speech front-end: it
+precisions.  `Recording` and `Corpus` hold segments, generated or read from a
+corpus file.  The synthetic generator stands in for a speech front-end: it
 draws speakers and clean vectors from a two-covariance model, corrupts each
 segment with noise of per-segment variance, and emits quality features that
 encode the (noisy) corruption level.
@@ -11,6 +13,7 @@ encode the (noisy) corruption level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,8 @@ from .plda import DiagPlda, FullPlda, ProbEmbedding, joint_diagonalize
 INIT_W1_STD = 0.1
 INIT_W2_STD = 1e-3
 INIT_MARGIN_SAFETY = 1.05
+# noise on the synthetic quality encoding of log sigma^2
+QUALITY_NOISE_STD = 0.05
 
 
 def softplus(z):
@@ -114,26 +119,19 @@ def extract(rec: SegmentRecord, model: ExtractorModel) -> ProbEmbedding:
 
 
 def init_extractor(full: FullPlda, seed: int, margin: float = 100.0,
-                   hidden: int | None = None, quality_dim: int = 2,
-                   keep_top: int | None = None) -> tuple[ExtractorModel, DiagPlda]:
+                   quality_dim: int = 2) -> tuple[ExtractorModel, DiagPlda]:
     """Initialize extractor and diagonal PLDA from an untransformed model.
 
-    The mean transform is the diagonalizing transform (optionally truncated to
-    the keep_top most speaker-discriminative rows), and the precision net is
-    initialized with small random weights and an output bias high enough that
-    every precision exceeds margin times the within-speaker precision, so the
-    initial system scores like plug-in PLDA.
+    The mean transform is the diagonalizing transform, and the precision net
+    (2 * dim hidden units) is initialized with small random weights and an
+    output bias high enough that every precision exceeds margin times the
+    within-speaker precision, so the initial system scores like plug-in PLDA.
     """
     if not margin > 0:
         raise DomainError(f"margin must be positive, got {margin}")
     t, diag = joint_diagonalize(full)
-    if keep_top is not None:
-        if not 1 <= keep_top <= t.shape[0]:
-            raise DomainError(f"keep_top must be in [1, {t.shape[0]}]")
-        t = t[:keep_top]
-        diag = DiagPlda(diag.w[:keep_top])
     d = t.shape[0]
-    h = hidden if hidden is not None else 2 * d
+    h = 2 * d
     rng = np.random.default_rng(seed)
     net = PrecisionNet(
         W1=rng.normal(0.0, INIT_W1_STD, size=(h, quality_dim)),
@@ -156,11 +154,9 @@ class SyntheticConfig:
     min_speakers: int = 2
     max_speakers: int = 4
     log_noise_var_range: tuple = (-4.0, 2.5)   # log sigma^2(q), uniform
-    quality_noise_std: float = 0.05            # noise on the quality encoding
     duration_range: tuple = (0.5, 2.0)
     within_scale: float = 0.3       # within-speaker vs unit between-speaker spread
     holdout_fraction: float = 0.25  # recordings reserved as a held-out split
-    reciprocal_quality: bool = False  # encode 1/sigma^2 instead of log sigma^2
     seed: int = 0
 
     def __post_init__(self):
@@ -173,23 +169,48 @@ class SyntheticConfig:
             raise DomainError("holdout_fraction must be in [0, 1)")
 
 
-@dataclass(frozen=True)
-class SyntheticRecording:
-    """One recording: segment records, ground-truth labels and diagnostics."""
+@dataclass(frozen=True, eq=False)
+class Recording:
+    """One recording: segment records, speaker labels and onsets in seconds,
+    one of each per segment.  `split` is "train" or "heldout".  `oracle_prec`
+    (per-segment oracle noise precision 1/sigma^2(q)) is a diagnostic that
+    only the synthetic generator knows.  Equality is identity."""
 
     rec_id: str
     records: tuple
-    labels: tuple          # canonical ground-truth label string
-    starts: tuple          # segment onsets in seconds
-    oracle_prec: np.ndarray  # per-segment oracle noise precision 1/sigma^2(q)
-    split: str             # "train" or "heldout"
+    labels: tuple
+    starts: tuple
+    split: str
+    oracle_prec: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("records", "labels", "starts"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        n = len(self.records)
+        if not n or {len(self.labels), len(self.starts)} != {n} or (
+                self.oracle_prec is not None and len(self.oracle_prec) != n):
+            raise ShapeError(f"recording {self.rec_id} needs one or more segments, with "
+                             f"one label, start and oracle_prec entry each")
+        if self.split not in ("train", "heldout"):
+            raise DomainError(f"split must be 'train' or 'heldout', got {self.split!r}")
+        if not all(math.isfinite(t) and t >= 0 for t in self.starts):
+            raise DomainError(f"recording {self.rec_id}: segment starts must be "
+                              f"finite and nonnegative")
 
 
 @dataclass(frozen=True)
-class SyntheticCorpus:
+class Corpus:
+    """Recordings of both splits and the two-covariance model of their
+    speakers; iterating yields the recordings."""
+
     recordings: tuple
     full_plda: FullPlda
-    config: SyntheticConfig
+
+    def __post_init__(self):
+        object.__setattr__(self, "recordings", tuple(self.recordings))
+
+    def __iter__(self):
+        return iter(self.recordings)
 
     @property
     def train_recordings(self):
@@ -241,7 +262,7 @@ def _random_spd(rng, dim, eig_range):
     return (q * eigs) @ q.T
 
 
-def generate_corpus(cfg: SyntheticConfig) -> SyntheticCorpus:
+def generate_corpus(cfg: SyntheticConfig) -> Corpus:
     """Generate a deterministic synthetic corpus.
 
     Speakers are drawn per recording from N(0, between_cov); clean vectors
@@ -284,20 +305,18 @@ def generate_corpus(cfg: SyntheticConfig) -> SyntheticCorpus:
         for t in range(n_seg):
             clean = speakers[:, spk_idx[t]] + chol_w @ rrng.normal(size=cfg.dim)
             raw = clean + sigma[t] * rrng.normal(size=cfg.dim)
-            enc = log_var[t] + cfg.quality_noise_std * rrng.normal(size=cfg.quality_dim - 1) \
+            enc = log_var[t] + QUALITY_NOISE_STD * rrng.normal(size=cfg.quality_dim - 1) \
                 if cfg.quality_dim > 1 else np.zeros(0)
-            if cfg.reciprocal_quality and enc.size:
-                enc = np.exp(-enc)
             quality = np.concatenate([enc, [durations[t]]])
             records.append(SegmentRecord(raw=raw, quality=quality, duration=durations[t]))
             starts.append(t0)
             t0 += durations[t]
-        recordings.append(SyntheticRecording(
+        recordings.append(Recording(
             rec_id=f"rec{ri:04d}",
-            records=tuple(records),
+            records=records,
             labels=canonicalize(spk_idx.tolist()),
-            starts=tuple(starts),
-            oracle_prec=1.0 / np.exp(log_var),
+            starts=starts,
             split="heldout" if ri < n_heldout else "train",
+            oracle_prec=1.0 / np.exp(log_var),
         ))
-    return SyntheticCorpus(recordings=tuple(recordings), full_plda=full, config=cfg)
+    return Corpus(recordings=recordings, full_plda=full)

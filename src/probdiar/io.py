@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, ParseError
-from .extractor import ExtractorModel, PrecisionNet, SegmentRecord
+from .extractor import ExtractorModel, PrecisionNet, Recording, SegmentRecord
 from .plda import DiagPlda
 
 MODEL_FORMAT_VERSION = 1
@@ -70,8 +70,18 @@ def load_model(path) -> tuple[ExtractorModel, DiagPlda]:
         b1, pos = _read_matrix(lines, pos, "b1")
         w2, pos = _read_matrix(lines, pos, "W2")
         b2, pos = _read_matrix(lines, pos, "b2")
+        header = {key: int(fields[key])
+                  for key in ("dim", "raw_dim", "quality_dim", "hidden")}
     except (ValueError, KeyError, IndexError) as exc:
         raise ParseError(f"malformed model file {path}: {exc}") from exc
+    # every size the header states, against each array that has it
+    sizes = {"dim": (w.size, a.shape[0], w2.shape[0], b2.size),
+             "raw_dim": (a.shape[1],), "quality_dim": (w1.shape[1],),
+             "hidden": (w1.shape[0], w2.shape[1], b1.size)}
+    for key, found in sizes.items():
+        if any(n != header[key] for n in found):
+            raise ParseError(f"model file {path}: header {key} {header[key]} does not "
+                             f"match the array sizes {found}")
     net = PrecisionNet(W1=w1, b1=b1.reshape(-1), W2=w2, b2=b2.reshape(-1))
     return ExtractorModel(A=a, net=net), DiagPlda(w)
 
@@ -79,10 +89,12 @@ def load_model(path) -> tuple[ExtractorModel, DiagPlda]:
 # Corpus files: one segment per line, tab-separated fields in this order:
 #   recording-id  segment-id  start  duration  raw-vector  quality-vector  speaker
 # Vectors are comma-separated decimal numbers; starts are finite and >= 0.
+# save_corpus writes any iterable of Recording, such as a Corpus; load_corpus
+# reads "train" Recordings.
 
 def save_corpus(path, corpus):
     with open(path, "w") as fh:
-        for rec in corpus.recordings:
+        for rec in corpus:
             for t, sr in enumerate(rec.records):
                 raw = ",".join(f"{x:.17g}" for x in sr.raw)
                 qual = ",".join(f"{x:.17g}" for x in sr.quality)
@@ -90,20 +102,9 @@ def save_corpus(path, corpus):
                          f"{sr.duration:.17g}\t{raw}\t{qual}\t{rec.labels[t]}\n")
 
 
-class CorpusRecording:
-    """Reader-side recording: segment records, labels and onsets."""
-
-    def __init__(self, rec_id, records, labels, starts, split="train"):
-        self.rec_id = rec_id
-        self.records = tuple(records)
-        self.labels = tuple(labels)
-        self.starts = tuple(starts)
-        self.split = split
-
-
-def load_corpus(path):
-    """Read a corpus file into a list of CorpusRecording, validating that raw
-    and quality dimensions are consistent across all lines."""
+def load_corpus(path) -> list[Recording]:
+    """Read a corpus file into "train" Recordings ordered by id, validating
+    that raw and quality dimensions are consistent across all lines."""
     by_rec: dict[str, list] = {}
     raw_dim = qual_dim = None
     with open(path) as fh:
@@ -139,11 +140,12 @@ def load_corpus(path):
     out = []
     for rec_id in sorted(by_rec):
         rows = sorted(by_rec[rec_id], key=lambda r: r[0])
-        out.append(CorpusRecording(
+        out.append(Recording(
             rec_id=rec_id,
             records=[r[1] for r in rows],
             labels=[r[2] for r in rows],
             starts=[r[0] for r in rows],
+            split="train",
         ))
     return out
 

@@ -116,23 +116,18 @@ class PartitionTables:
     """Everything needed to score all B_n clusterings of an n-tuple.
 
     `seg_subset` is n-by-(2^n - 1): column c marks the segments in nonempty
-    subset c+1 (bitmask order).  `part_subset` is B_n-by-(2^n - 1): row r
-    marks the subsets that are the clusters of partition rgs[r].  Both are
-    0/1 CSR matrices; `seg_dense` is `seg_subset` as a dense array, built once
-    for the scoring kernels.
+    subset c+1 (bitmask order); it is a dense C-ordered 0/1 float64 array.
+    `part_subset` is B_n-by-(2^n - 1): row r marks the subsets that are the
+    clusters of partition rgs[r]; it is a 0/1 CSR matrix.
     """
 
     n: int
     rgs: tuple[tuple[int, ...], ...]
     log_prior: np.ndarray
     prior: CrpParams
-    seg_subset: sp.csr_matrix = field(repr=False)
+    seg_subset: np.ndarray = field(repr=False)
     part_subset: sp.csr_matrix = field(repr=False)
     index: dict = field(repr=False)
-    seg_dense: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "seg_dense", self.seg_subset.toarray())
 
     @property
     def n_subsets(self) -> int:
@@ -145,15 +140,6 @@ class PartitionTables:
     def rgs_index(self, labels) -> int:
         """Row index of a (canonical) label string in the RGS list."""
         return self.index[tuple(labels)]
-
-
-def _rows_to_csr(rows, n_cols):
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    for i, r in enumerate(rows):
-        indptr[i + 1] = indptr[i] + len(r)
-    indices = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    data = np.ones(len(indices), dtype=np.float64)
-    return sp.csr_matrix((data, indices, indptr), shape=(len(rows), n_cols))
 
 
 def build_tables(n: int, prior: CrpParams) -> PartitionTables:
@@ -174,11 +160,8 @@ def build_tables(n: int, prior: CrpParams) -> PartitionTables:
     if not abs(z) < 1e-10:
         raise DomainError(f"partition prior for n={n} does not normalize: log mass {z!r}")
     n_cols = (1 << n) - 1
-
-    seg_rows = []
-    for t in range(n):
-        cols = np.array([c - 1 for c in range(1, n_cols + 1) if (c >> t) & 1], dtype=np.int64)
-        seg_rows.append(cols)
+    subsets = np.arange(1, n_cols + 1)
+    seg_subset = ((subsets >> np.arange(n)[:, None]) & 1).astype(np.float64)
 
     part_rows = []
     for labels in rgs:
@@ -186,14 +169,17 @@ def build_tables(n: int, prior: CrpParams) -> PartitionTables:
         for t, lab in enumerate(labels):
             masks[lab] = masks.get(lab, 0) | (1 << t)
         part_rows.append(np.array(sorted(m - 1 for m in masks.values()), dtype=np.int64))
+    indptr = np.cumsum([0] + [len(r) for r in part_rows])
+    part_subset = sp.csr_matrix((np.ones(indptr[-1]), np.concatenate(part_rows), indptr),
+                                shape=(len(rgs), n_cols))
 
     return PartitionTables(
         n=n,
         rgs=tuple(rgs),
         log_prior=log_prior,
         prior=prior,
-        seg_subset=_rows_to_csr(seg_rows, n_cols),
-        part_subset=_rows_to_csr(part_rows, n_cols),
+        seg_subset=seg_subset,
+        part_subset=part_subset,
         index={labels: r for r, labels in enumerate(rgs)},
     )
 

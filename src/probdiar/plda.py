@@ -206,7 +206,7 @@ def subset_logliks(e: np.ndarray, xh: np.ndarray, tables: PartitionTables,
     if e.shape[-2] != tables.n:
         raise ShapeError(f"tuple size {e.shape[-2]} != tables.n {tables.n}")
     g, a_bar, b_bar, work = out if out is not None else (None,) * 4
-    s_t = tables.seg_dense.T
+    s_t = tables.seg_subset.T
     a_bar = np.matmul(s_t, e * xh, out=a_bar)
     b_bar = np.matmul(s_t, e, out=b_bar)
     return _pooled_loglik(a_bar, b_bar, work, g), a_bar, b_bar

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, DomainError, ShapeError, TrainingError
-from .extractor import ExtractorModel, PrecisionNet, init_extractor, softplus
+from .extractor import Corpus, ExtractorModel, PrecisionNet, init_extractor, softplus
 from .partitions import CrpParams, PartitionTables, build_tables, canonicalize, fit_crp
 from .plda import DiagPlda, partition_log_posterior, segment_weight, subset_logliks
 
@@ -52,7 +52,6 @@ class TrainConfig:
     margin: float = 10.0        # saturation margin of the initial precisions;
                                 # use a large margin with train_net=False so the
                                 # frozen net keeps extracting large precisions
-    hidden: int | None = None
 
     def __post_init__(self):
         if not 0 <= self.lr_net < np.inf or not 0 < self.lr_ratio <= 1:
@@ -80,15 +79,11 @@ class GradientSet:
                 "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
 
-def _recordings_of(corpus):
-    return corpus.recordings if hasattr(corpus, "recordings") else tuple(corpus)
-
-
-def sample_octets(corpus, n: int, rng):
+def sample_octets(recordings, n: int, rng):
     """Infinite stream of random n-tuples, each drawn without replacement from
-    the segments of one recording, in randomized order, with canonical truth.
-    Recordings with fewer than n segments are skipped with a warning."""
-    recordings = _recordings_of(corpus)
+    the segments of one of the recordings (any iterable of `Recording`, such
+    as a `Corpus`), in randomized order, with canonical truth.  Recordings
+    with fewer than n segments are skipped with a warning."""
     eligible = []
     for rec in recordings:
         if len(rec.records) < n:
@@ -182,7 +177,7 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
 
     nll = np.empty(n_batch)
     if want_grad:
-        s = tables.seg_dense                                       # (n, C)
+        s = tables.seg_subset                                      # (n, C)
         d_ex = np.empty_like(e)
         d_e = np.empty_like(e)
     for start in range(0, n_batch, ws.rows):
@@ -318,11 +313,12 @@ def finite_difference_check(batch, model: ExtractorModel, plda: DiagPlda,
     return worst
 
 
-def fit_corpus_crp(corpus) -> CrpParams:
+def fit_corpus_crp(recordings) -> CrpParams:
     """Fit the partition prior so the expected cluster count over the whole
-    training split matches its true speaker count."""
-    recs = [r for r in _recordings_of(corpus) if r.split == "train"] or \
-        list(_recordings_of(corpus))
+    training split (all recordings if none is in it) of any iterable of
+    `Recording`, such as a `Corpus`, matches its true speaker count."""
+    recordings = tuple(recordings)
+    recs = [r for r in recordings if r.split == "train"] or recordings
     n_total = sum(len(r.records) for r in recs)
     n_speakers = sum(len(set(r.labels)) for r in recs)
     return fit_crp(n_total, min(n_speakers, n_total))
@@ -335,16 +331,17 @@ class TrainResult:
     history: list = field(default_factory=list)  # (epoch, train_ce, heldout_ce)
 
 
-def train(cfg: TrainConfig, corpus, init=None, tables: PartitionTables | None = None) -> TrainResult:
+def train(cfg: TrainConfig, corpus: Corpus, init=None,
+          tables: PartitionTables | None = None) -> TrainResult:
     """Plain SGD on the octet cross-entropy with two learning-rate groups:
     the precision net at lr_net, the transform and PLDA at lr_net * lr_ratio.
+    Without `init`, the model starts from `init_extractor(corpus.full_plda)`.
 
     Deterministic given cfg.seed.  Raises TrainingError (carrying the last
     finite checkpoint) if the loss becomes non-finite.
     """
-    recordings = _recordings_of(corpus)
-    train_recs = [r for r in recordings if getattr(r, "split", "train") == "train"]
-    heldout_recs = [r for r in recordings if getattr(r, "split", "train") == "heldout"]
+    train_recs = corpus.train_recordings
+    heldout_recs = corpus.heldout_recordings
     if not train_recs:
         raise DataError("corpus has no training recordings")
 
@@ -352,7 +349,7 @@ def train(cfg: TrainConfig, corpus, init=None, tables: PartitionTables | None = 
         model, plda = init
     else:
         model, plda = init_extractor(
-            corpus.full_plda, seed=cfg.seed, margin=cfg.margin, hidden=cfg.hidden,
+            corpus.full_plda, seed=cfg.seed, margin=cfg.margin,
             quality_dim=train_recs[0].records[0].quality.shape[0])
 
     crp = cfg.crp if cfg.crp is not None else fit_corpus_crp(corpus)

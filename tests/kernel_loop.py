@@ -44,7 +44,7 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
     p /= n_batch                                                   # dloss/dlogits
     dg = (tables.part_subset.T @ p.T).T                            # (B, C)
 
-    s = tables.seg_subset.toarray()                                # (n, C)
+    s = tables.seg_subset                                          # (n, C)
     den = 1.0 + b_bar
     d_a_bar = dg[:, :, None] * a_bar / den
     d_b_bar = dg[:, :, None] * (-0.5) * (a_bar ** 2 / den ** 2 + 1.0 / den)

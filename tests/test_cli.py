@@ -1,13 +1,16 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from probdiar.cli import _apply_config, build_parser, run
 from probdiar.errors import DataError
-from probdiar.extractor import ExtractorModel, PrecisionNet
+from probdiar.extractor import Corpus, ExtractorModel, PrecisionNet, estimate_full_plda
 from probdiar.io import load_corpus, load_model, save_model
 from probdiar.plda import DiagPlda
+from probdiar.training import TrainConfig, train
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +48,17 @@ class TestTrain:
         assert lines[0] == "epoch\ttrain_ce\theldout_ce"
         assert len(lines) == 3
 
+    def test_model_file_equals_library_train(self, workdir, tmp_path):
+        """The command trains `train` on a Corpus whose first quarter of
+        recordings is held out, with the model estimated from the rest."""
+        recs = load_corpus(workdir / "corpus.tsv")
+        recs = [replace(r, split="heldout" if i < 2 else "train")
+                for i, r in enumerate(recs)]
+        result = train(TrainConfig(n=4, epochs=2),
+                       Corpus(recs, estimate_full_plda(recs[2:])))
+        save_model(tmp_path / "lib.txt", result.model, result.plda)
+        assert (tmp_path / "lib.txt").read_bytes() == \
+            (workdir / "model.txt").read_bytes()
 
     def test_one_recording_corpus_is_data_error(self, workdir, tmp_path, capsys):
         """The only recording is held out, which leaves nothing to train on."""
@@ -301,6 +315,17 @@ class TestErrorsAndUsage:
                     "--model", str(bad),
                     "--out", str(tmp_path / "h.rttm")]) == 2
         capsys.readouterr()
+
+    def test_model_header_mismatch_is_data_error(self, workdir, tmp_path, capsys):
+        lines = (workdir / "model.txt").read_text().splitlines()
+        lines[1] = "dim 99"
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["diarize", "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(bad),
+                    "--out", str(tmp_path / "h.rttm")]) == 2
+        err = capsys.readouterr().err
+        assert "[data]" in err and "header dim 99" in err
 
 
 class TestSelftest:

@@ -1,4 +1,5 @@
-"""Extractor initialization and the synthetic corpus generator."""
+"""Extractor initialization, the corpus types and the synthetic corpus
+generator."""
 
 import math
 
@@ -7,10 +8,10 @@ import pytest
 
 import probdiar as pd
 from probdiar.errors import DomainError, ShapeError
-from probdiar.extractor import (ExtractorModel, PrecisionNet, SegmentRecord,
-                                SyntheticConfig, estimate_full_plda, extract,
-                                generate_corpus, init_extractor, inv_softplus,
-                                softplus)
+from probdiar.extractor import (Corpus, ExtractorModel, PrecisionNet, Recording,
+                                SegmentRecord, SyntheticConfig, estimate_full_plda,
+                                extract, generate_corpus, init_extractor,
+                                inv_softplus, softplus)
 from probdiar.plda import DiagPlda, clustering_log_posterior, joint_diagonalize
 
 from .conftest import brute_force_log_posterior
@@ -92,12 +93,6 @@ class TestInitExtractor:
                 ref = np.exp(brute_force_log_posterior(plugged, plda, tables))
                 assert 0.5 * np.abs(post - ref).sum() < tol
 
-    def test_keep_top_truncates(self, small_corpus):
-        model, plda = init_extractor(small_corpus.full_plda, seed=0, keep_top=3)
-        assert model.dim == 3 and plda.dim == 3
-        with pytest.raises(DomainError):
-            init_extractor(small_corpus.full_plda, seed=0, keep_top=99)
-
 
 class TestGenerateCorpus:
     def test_deterministic(self):
@@ -110,7 +105,7 @@ class TestGenerateCorpus:
                 np.testing.assert_array_equal(sa.quality, sb.quality)
 
     def test_labels_canonical_and_speaker_counts(self, small_corpus):
-        cfg = small_corpus.config
+        cfg = SyntheticConfig()   # the fixture's speaker bounds are the defaults
         for rec in small_corpus.recordings:
             assert rec.labels == pd.canonicalize(rec.labels)
             assert cfg.min_speakers <= max(rec.labels) <= cfg.max_speakers
@@ -155,6 +150,52 @@ class TestGenerateCorpus:
             SyntheticConfig(min_speakers=3, max_speakers=2)
         with pytest.raises(DomainError):
             SyntheticConfig(holdout_fraction=1.0)
+
+
+def _segments(n):
+    return [SegmentRecord(raw=np.zeros(2), quality=np.zeros(1), duration=1.0)
+            for _ in range(n)]
+
+
+class TestRecording:
+    def test_stores_tuples(self):
+        rec = Recording("r", _segments(2), [1, 2], [0.0, 1.0], "train")
+        assert isinstance(rec.records, tuple)
+        assert rec.labels == (1, 2) and rec.starts == (0.0, 1.0)
+        assert rec.oracle_prec is None
+
+    @pytest.mark.parametrize("labels, starts, oracle_prec", [
+        ([1], [0.0, 1.0], None), ([1, 2], [0.0], None),
+        ([1, 2], [0.0, 1.0], np.ones(3))])
+    def test_ragged_lengths_rejected(self, labels, starts, oracle_prec):
+        with pytest.raises(ShapeError):
+            Recording("r", _segments(2), labels, starts, "train", oracle_prec)
+
+    def test_empty_recording_rejected(self):
+        with pytest.raises(ShapeError):
+            Recording("r", [], [], [], "train")
+
+    @pytest.mark.parametrize("start", [np.nan, -1.0, np.inf])
+    def test_bad_start_rejected(self, start):
+        with pytest.raises(DomainError):
+            Recording("r", _segments(2), [1, 2], [0.0, start], "train")
+
+    @pytest.mark.parametrize("split", ["test", "Train", None])
+    def test_unknown_split_rejected(self, split):
+        with pytest.raises(DomainError):
+            Recording("r", _segments(1), [1], [0.0], split)
+
+    def test_equality_is_identity(self):
+        a = Recording("r", _segments(1), [1], [0.0], "train", np.ones(1))
+        b = Recording("r", a.records, [1], [0.0], "train", np.ones(1))
+        assert a == a and a != b
+
+
+class TestCorpus:
+    def test_iterates_its_recordings(self, small_corpus):
+        corpus = Corpus(list(small_corpus.recordings), small_corpus.full_plda)
+        assert corpus.recordings == small_corpus.recordings
+        assert tuple(corpus) == corpus.recordings
 
 
 class TestEstimateFullPlda:

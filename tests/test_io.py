@@ -50,6 +50,28 @@ class TestModelIo:
         with pytest.raises(ParseError):
             load_model(path)
 
+    @pytest.mark.parametrize("line, text", [
+        (1, "dim 99"), (2, "raw_dim 5"), (3, "quality_dim 4"), (4, "hidden 3")])
+    def test_header_must_match_arrays(self, tmp_path, rng, line, text):
+        model, plda = random_model(rng)
+        path = tmp_path / "model.txt"
+        save_model(path, model, plda)
+        lines = path.read_text().splitlines()
+        lines[line] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=text.split()[0]):
+            load_model(path)
+
+    def test_short_w_vector(self, tmp_path, rng):
+        model, plda = random_model(rng)
+        path = tmp_path / "model.txt"
+        save_model(path, model, plda)
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5].rsplit(" ", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="dim"):
+            load_model(path)
+
 
 class TestCorpusIo:
     def test_roundtrip(self, tmp_path, small_corpus):
@@ -59,6 +81,7 @@ class TestCorpusIo:
         assert len(back) == len(small_corpus.recordings)
         by_id = {r.rec_id: r for r in small_corpus.recordings}
         for rec in back:
+            assert isinstance(rec, pd.Recording) and rec.split == "train"
             orig = by_id[rec.rec_id]
             assert tuple(rec.labels) == orig.labels
             assert rec.starts == pytest.approx(orig.starts)

@@ -129,7 +129,7 @@ class TestCrpLogProb:
 class TestTables:
     def test_n2_seg_subset(self):
         tables = build_tables(2, CrpParams(1.0, 0.0))
-        cols = {tuple(col) for col in tables.seg_subset.toarray().T}
+        cols = {tuple(col) for col in tables.seg_subset.T}
         assert cols == {(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
         assert tables.seg_subset.shape == (2, 3)
 

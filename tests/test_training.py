@@ -5,6 +5,7 @@ unblocked kernel of `tests/kernel_loop.py`."""
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from scipy.special import expit, logsumexp
 
 import probdiar as pd
 from probdiar.errors import DataError, DomainError, TrainingError
-from probdiar.extractor import ExtractorModel, PrecisionNet, SegmentRecord, softplus
-from probdiar.io import CorpusRecording
+from probdiar.extractor import (Corpus, ExtractorModel, PrecisionNet, Recording,
+                                SegmentRecord, softplus)
+from probdiar.io import load_corpus, save_corpus
 from probdiar.partitions import CrpParams, build_tables, canonicalize, fit_crp
 from probdiar.plda import (DiagPlda, partition_log_posterior, segment_weight,
                            subset_logliks)
@@ -56,9 +58,8 @@ class TestSampleOctets:
     def test_single_recording_permutation(self, small_corpus):
         rec = small_corpus.recordings[0]
         sub = rec.records[:8]
-        one = type(rec)(rec_id="r", records=tuple(sub), labels=rec.labels[:8],
-                        starts=rec.starts[:8], oracle_prec=rec.oracle_prec[:8],
-                        split="train")
+        one = Recording(rec_id="r", records=sub, labels=rec.labels[:8],
+                        starts=rec.starts[:8], split="train")
         trial = next(sample_octets([one], 8, np.random.default_rng(0)))
         assert sorted(id(r) for r in trial.records) == sorted(id(r) for r in sub)
         assert trial.truth == canonicalize(trial.truth)
@@ -73,9 +74,8 @@ class TestSampleOctets:
 
     def test_short_recordings_skipped_with_warning(self, small_corpus):
         rec = small_corpus.recordings[0]
-        short = type(rec)(rec_id="short", records=rec.records[:3],
-                          labels=rec.labels[:3], starts=rec.starts[:3],
-                          oracle_prec=rec.oracle_prec[:3], split="train")
+        short = Recording(rec_id="short", records=rec.records[:3],
+                          labels=rec.labels[:3], starts=rec.starts[:3], split="train")
         with pytest.warns(UserWarning, match="short"):
             stream = sample_octets([short, rec], 8, np.random.default_rng(0))
             next(stream)
@@ -189,7 +189,7 @@ def reference_forward_backward(raw, quality, truth, model, plda, tables):
     xh = raw @ model.A.T
     e = w * b / (w + b)
     ex = e * xh
-    s = tables.seg_subset.toarray()
+    s = tables.seg_subset
     a_bar = np.einsum("tc,btd->bcd", s, ex)
     b_bar = np.einsum("tc,btd->bcd", s, e)
     den = 1.0 + b_bar
@@ -429,16 +429,29 @@ class TestTrain:
     def test_momentum_in_range_accepted(self):
         assert TrainConfig(momentum=0.9).momentum == 0.9
 
+    def test_loaded_corpus_without_init(self, small_corpus, tmp_path):
+        """A corpus read from a file trains from the model estimated on it."""
+        path = tmp_path / "corpus.tsv"
+        save_corpus(path, small_corpus)
+        recs = [replace(r, split="heldout" if i == 0 else "train")
+                for i, r in enumerate(load_corpus(path))]
+        corpus = Corpus(recs, pd.estimate_full_plda(recs[1:]))
+        result = train(TrainConfig(epochs=2, seed=0, n=4), corpus)
+        assert len(result.history) == 2
+        assert all(np.isfinite(tr) and np.isfinite(ho) for _, tr, ho in result.history)
+        assert result.model.raw_dim == small_corpus.recordings[0].records[0].raw.size
+
     def test_short_heldout_split_counts_as_absent(self, small_corpus):
         """Held-out recordings all shorter than n leave the held-out CE NaN
         with a warning per recording, as if there were none."""
         recs = [r if r.split == "train" else
-                CorpusRecording(r.rec_id, r.records[:5], r.labels[:5], r.starts[:5],
-                                "heldout")
+                Recording(r.rec_id, r.records[:5], r.labels[:5], r.starts[:5],
+                          "heldout")
                 for r in small_corpus.recordings]
         init = pd.init_extractor(small_corpus.full_plda, seed=0, quality_dim=2)
         with pytest.warns(UserWarning, match="fewer than 8 segments"):
-            result = train(TrainConfig(epochs=2, seed=0), recs, init=init)
+            result = train(TrainConfig(epochs=2, seed=0),
+                           Corpus(recs, small_corpus.full_plda), init=init)
         assert len(result.history) == 2
         assert all(np.isfinite(tr) and np.isnan(ho) for _, tr, ho in result.history)
 
@@ -458,8 +471,8 @@ class TestFitCorpusCrp:
         sparse ids fit the prior of ids 1..K, and a recording whose one
         speaker is labelled 0 counts one speaker."""
         def relabel(f):
-            return [CorpusRecording(r.rec_id, r.records, [f(k) for k in r.labels],
-                                    r.starts, r.split)
+            return [Recording(r.rec_id, r.records, [f(k) for k in r.labels],
+                              r.starts, r.split)
                     for r in small_corpus.recordings]
 
         want = fit_corpus_crp(small_corpus)
