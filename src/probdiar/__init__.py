@@ -7,12 +7,12 @@ from .clustering import AhcConfig, ahc, ahc_baseline, ahc_by_the_book, merge_del
     unsupervised_calibration
 from .evalkit import DerReport, Timeline, Turn, aggregate_der, der, read_rttm, write_rttm
 from .extractor import (Corpus, ExtractorModel, PrecisionNet, Recording, SegmentRecord,
-                        SyntheticConfig, estimate_full_plda, extract, generate_corpus,
-                        init_extractor)
+                        SyntheticConfig, estimate_full_plda, extract, extract_batch,
+                        generate_corpus, init_extractor)
 from .partitions import (CrpParams, PartitionTables, bell_number, build_tables,
                          canonicalize, crp_log_prob, enumerate_rgs, fit_crp)
-from .plda import (ClusterStats, DiagPlda, FullPlda, ProbEmbedding, accumulate,
-                   cluster_loglik, clustering_log_posterior, joint_diagonalize,
-                   pairwise_llr, segment_weight)
+from .plda import (ClusterStats, DiagPlda, EmbeddingBatch, FullPlda, ProbEmbedding,
+                   accumulate, cluster_loglik, clustering_log_posterior,
+                   joint_diagonalize, pairwise_llr, segment_weight)
 from .training import (GradientSet, OctetTrial, TrainConfig, cross_entropy,
                        finite_difference_check, gradients, sample_octets, train)

@@ -7,10 +7,12 @@ per-recording unsupervised calibration threshold.
 
 The greedy merge order does not depend on the stopping threshold sigma, only
 the stopping point does: each variant is one engine yielding merge records
-lazily into a `MergeTrace`, and `cut` replays the prefix a sigma accepts.
+lazily into a `MergeTrace`, and `cuts` replays it once for any number of
+sigmas, keeping the labels at the prefix each sigma accepts.
 
-Both variants score pairs as array operations.  Cluster statistics are kept
-as (n x D) arrays that merge by row addition, so the pair gains of all
+Both variants take a recording's embeddings as one `EmbeddingBatch` and
+score pairs as array operations.  Cluster statistics are kept as (n x D)
+arrays that merge by row addition, so the pair gains of all
 clusters (in blocks of pairs), or of one merged cluster against the rest,
 are broadcasts through the pooled log-likelihood; they equal `merge_delta`
 and `pairwise_llr` bit for bit.
@@ -19,14 +21,15 @@ and `pairwise_llr` bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError
+from .errors import CalibrationError, DomainError, ShapeError
 from .partitions import canonicalize
-from .plda import (ClusterStats, DiagPlda, ProbEmbedding, _pooled_loglik,
-                   cluster_loglik, segment_stats)
+from .plda import (ClusterStats, DiagPlda, EmbeddingBatch, _pooled_loglik,
+                   cluster_loglik, segment_weight)
 
 # precision multiple used to emulate plug-in (infinite-precision) embeddings
 PLUGIN_PREC_FACTOR = 1e12
@@ -47,6 +50,14 @@ class AhcConfig:
             raise DomainError(f"unknown AHC mode {self.mode!r}")
         if not self.likelihood_scale > 0:
             raise DomainError("likelihood_scale must be positive")
+        _check_sigma(self.sigma)
+
+
+def _check_sigma(sigma):
+    """A stopping threshold compares with every score; NaN compares with
+    none (book AHC would merge nothing, the baseline everything)."""
+    if math.isnan(sigma):
+        raise DomainError("sigma must not be NaN")
 
 
 def merge_delta(i: ClusterStats, j: ClusterStats) -> float:
@@ -75,17 +86,43 @@ class MergeTrace:
                 self.records.append(record)
             yield self.records[k]
 
+    def stops(self, score: float, sigma: float) -> bool:
+        """Whether sigma stops before a merge record of this score."""
+        if self.calibration is None:
+            return not score > sigma
+        return score < self.calibration + sigma
+
+
+def cuts(trace: MergeTrace, sigmas) -> list[tuple[int, ...]]:
+    """The labels `cut(trace, s)` for each s in sigmas, from one replay: a
+    record that stops a sigma stops every larger one, so the sigmas stop in
+    decreasing order and the replay ends where the smallest one stops."""
+    sigmas = [float(s) for s in sigmas]
+    for sigma in sigmas:
+        _check_sigma(sigma)
+    pending = sorted(range(len(sigmas)), key=sigmas.__getitem__)
+    out = [None] * len(sigmas)
+
+    def stopped(record):
+        return pending and (record is None or trace.stops(record[2], sigmas[pending[-1]]))
+
+    raw = np.arange(trace.n)
+    records = iter(trace)
+    while pending:
+        record = next(records, None)
+        if stopped(record):
+            labels = canonicalize(raw.tolist())
+            while stopped(record):
+                out[pending.pop()] = labels
+        if record is not None:
+            raw[raw == record[1]] = record[0]
+    return out
+
 
 def cut(trace: MergeTrace, sigma: float) -> tuple[int, ...]:
-    """Labels after the merges of `trace` that sigma accepts: replay records
-    up to the first one that sigma stops."""
-    raw = np.arange(trace.n)
-    for a, b, score in trace:
-        if (not score > sigma) if trace.calibration is None \
-                else score < trace.calibration + sigma:
-            break
-        raw[raw == b] = a
-    return canonicalize(raw.tolist())
+    """Labels after the merges of `trace` that sigma accepts: the records
+    before the first one that sigma stops."""
+    return cuts(trace, [sigma])[0]
 
 
 def _greedy_merges(score: np.ndarray, rescore):
@@ -123,19 +160,23 @@ def _pair_matrix(n: int, pair) -> np.ndarray:
     return score
 
 
-def _stacked_stats(embeddings, plda: DiagPlda, scale: float):
-    """Per-segment statistics as (n x D) arrays a_bar, b_bar, and the
-    cluster log-likelihood g of each row."""
-    stats = segment_stats(embeddings, plda, scale)
-    if not stats:
+def _stacked_stats(emb: EmbeddingBatch, plda: DiagPlda, scale: float, prec=None):
+    """Per-segment statistics as (n x D) arrays a_bar = e * xhat and b_bar =
+    e, e the evidence weight of the precisions times scale, and the cluster
+    log-likelihood g of each row.  `prec`, a D-vector, replaces every
+    segment's precision when given."""
+    if not len(emb):
         raise DomainError("need at least one segment")
-    a_bar = np.array([s.a_bar for s in stats])
-    b_bar = np.array([s.b_bar for s in stats])
-    return a_bar, b_bar, _pooled_loglik(a_bar, b_bar)
+    if emb.dim != plda.dim:
+        raise ShapeError(f"embedding dim {emb.dim} != model dim {plda.dim}")
+    e = segment_weight(plda, emb.prec if prec is None
+                       else np.broadcast_to(prec, emb.prec.shape)) * scale
+    a_bar = e * emb.xhat
+    return a_bar, e, _pooled_loglik(a_bar, e)
 
 
-def _book_trace(embeddings, plda: DiagPlda, scale: float) -> MergeTrace:
-    a_bar, b_bar, g = _stacked_stats(embeddings, plda, scale)
+def _book_trace(emb: EmbeddingBatch, plda: DiagPlda, scale: float) -> MergeTrace:
+    a_bar, b_bar, g = _stacked_stats(emb, plda, scale)
 
     def gain(i, j):
         return _pooled_loglik(a_bar[i] + a_bar[j], b_bar[i] + b_bar[j]) - g[i] - g[j]
@@ -150,14 +191,15 @@ def _book_trace(embeddings, plda: DiagPlda, scale: float) -> MergeTrace:
     return MergeTrace(len(g), _greedy_merges(_pair_matrix(len(g), gain), rescore))
 
 
-def ahc_by_the_book(embeddings, plda: DiagPlda, cfg: AhcConfig) -> tuple[int, ...]:
+def ahc_by_the_book(emb: EmbeddingBatch, plda: DiagPlda,
+                    cfg: AhcConfig) -> tuple[int, ...]:
     """Greedy maximum-likelihood AHC.
 
     Starts from singletons; each iteration merges the pair with the largest
     likelihood gain, provided it exceeds cfg.sigma.  Ties break on the lowest
     pair of cluster ids (ids are the smallest member segment index).
     """
-    return cut(_book_trace(embeddings, plda, cfg.likelihood_scale), cfg.sigma)
+    return cut(_book_trace(emb, plda, cfg.likelihood_scale), cfg.sigma)
 
 
 def unsupervised_calibration(scores) -> float:
@@ -201,9 +243,8 @@ def unsupervised_calibration(scores) -> float:
     return float(0.5 * (mu[0] + mu[1]) + var * np.log(pi[0] / pi[1]) / (mu[1] - mu[0]))
 
 
-def _baseline_trace(embeddings, plda: DiagPlda) -> MergeTrace:
-    plugged = [ProbEmbedding(e.xhat, PLUGIN_PREC_FACTOR * plda.w) for e in embeddings]
-    a_bar, b_bar, g = _stacked_stats(plugged, plda, 1.0)
+def _baseline_trace(emb: EmbeddingBatch, plda: DiagPlda) -> MergeTrace:
+    a_bar, b_bar, g = _stacked_stats(emb, plda, 1.0, prec=PLUGIN_PREC_FACTOR * plda.w)
     # grouped as pairwise_llr groups it
     sim = _pair_matrix(len(g), lambda i, j: _pooled_loglik(a_bar[i] + a_bar[j],
                                                           b_bar[i] + b_bar[j]) - (g[i] + g[j]))
@@ -220,7 +261,8 @@ def _baseline_trace(embeddings, plda: DiagPlda) -> MergeTrace:
     return MergeTrace(len(g), _greedy_merges(sim, rescore), calibration)
 
 
-def ahc_baseline(embeddings, plda: DiagPlda, cfg: AhcConfig) -> tuple[int, ...]:
+def ahc_baseline(emb: EmbeddingBatch, plda: DiagPlda,
+                 cfg: AhcConfig) -> tuple[int, ...]:
     """Weighted average-linkage (WPGMA) AHC over plug-in pairwise LLR scores.
 
     The similarity row of a merged cluster is the arithmetic mean of its two
@@ -228,23 +270,23 @@ def ahc_baseline(embeddings, plda: DiagPlda, cfg: AhcConfig) -> tuple[int, ...]:
     similarity falls below the unsupervised-calibration threshold plus the
     cfg.sigma offset.
     """
-    if len(embeddings) < 2:
+    if len(emb) < 2:
         raise DomainError("baseline AHC needs at least two segments")
-    return cut(_baseline_trace(embeddings, plda), cfg.sigma)
+    return cut(_baseline_trace(emb, plda), cfg.sigma)
 
 
-def merge_trace(embeddings, plda: DiagPlda, cfg: AhcConfig) -> MergeTrace:
+def merge_trace(emb: EmbeddingBatch, plda: DiagPlda, cfg: AhcConfig) -> MergeTrace:
     """The sigma-free merge trace of cfg.mode: `cut(trace, s)` equals `ahc`
     with sigma s, for any s (a single segment gives an empty trace)."""
     if cfg.mode == "baseline":
-        return _baseline_trace(embeddings, plda)
-    return _book_trace(embeddings, plda, cfg.likelihood_scale)
+        return _baseline_trace(emb, plda)
+    return _book_trace(emb, plda, cfg.likelihood_scale)
 
 
-def ahc(embeddings, plda: DiagPlda, cfg: AhcConfig) -> tuple[int, ...]:
+def ahc(emb: EmbeddingBatch, plda: DiagPlda, cfg: AhcConfig) -> tuple[int, ...]:
     """Dispatch on cfg.mode; single segments short-circuit to one cluster."""
-    if len(embeddings) == 1:
+    if len(emb) == 1:
         return (1,)
     if cfg.mode == "baseline":
-        return ahc_baseline(embeddings, plda, cfg)
-    return ahc_by_the_book(embeddings, plda, cfg)
+        return ahc_baseline(emb, plda, cfg)
+    return ahc_by_the_book(emb, plda, cfg)

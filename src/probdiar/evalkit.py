@@ -7,9 +7,9 @@ pieces: a 10 ms frame grid by default, or exact turn and collar boundaries.
 
 Piece midpoints ascend, so the pieces a turn is active on form one index
 range.  Relabellings of one reference's turns, as a sigma sweep produces,
-share their pieces and ranges: `relabel_scorer` builds them once, and a
-labelling's speaker activities set its speakers' ranges, the same booleans
-`der` builds.
+share their pieces, ranges and reference terms: `relabel_scorer` builds them
+once, and a labelling's speaker activities set its speakers' ranges, the
+same booleans `der` builds.
 """
 
 from __future__ import annotations
@@ -157,16 +157,25 @@ def _activity(ranges, speakers, n_pieces: int) -> np.ndarray:
     return active.T
 
 
-def _report(rec_id, dur, ref_on, hyp_on) -> DerReport:
-    """Score boolean (pieces x speakers) activities with piece durations."""
-    overlap = (ref_on * dur[:, None]).T @ hyp_on
-    rows, cols = linear_sum_assignment(-overlap)
-    n_ref, n_hyp = ref_on.sum(axis=1), hyp_on.sum(axis=1)
-    n_correct = (ref_on[:, rows] & hyp_on[:, cols]).sum(axis=1)
+def _reference_terms(dur, ref_on):
+    """The terms of `_report` that depend on the reference alone: its
+    activity, the activity weighted by piece duration, the active speakers
+    per piece and the scored speech time."""
+    n_ref = ref_on.sum(axis=1)
+    return ref_on, ref_on * dur[:, None], n_ref, float(np.sum(dur * n_ref))
 
-    total_ref = float(np.sum(dur * n_ref))
+
+def _report(rec_id, dur, ref, hyp_on) -> DerReport:
+    """Score a boolean (pieces x speakers) hypothesis activity against the
+    `_reference_terms` `ref` of a reference activity, with piece durations."""
+    ref_on, ref_dur, n_ref, total_ref = ref
     if total_ref == 0:
         raise ScoringError("reference has no scored speech (all excised by collar)")
+    overlap = ref_dur.T @ hyp_on
+    rows, cols = linear_sum_assignment(-overlap)
+    n_hyp = hyp_on.sum(axis=1)
+    n_correct = (ref_on[:, rows] & hyp_on[:, cols]).sum(axis=1)
+
     miss = float(np.sum(dur * np.maximum(n_ref - n_hyp, 0)))
     fa = float(np.sum(dur * np.maximum(n_hyp - n_ref, 0)))
     conf = float(np.sum(dur * (np.minimum(n_ref, n_hyp) - n_correct)))
@@ -187,7 +196,7 @@ def der(ref: Timeline, hyp: Timeline, collar: float = 0.0, exact: bool = False) 
     dur, mid = _scored_pieces(ref, hyp, collar, exact)
     ref_on = _activity(_turn_ranges(ref.turns, mid), [t.speaker for t in ref.turns], mid.size)
     hyp_on = _activity(_turn_ranges(hyp.turns, mid), [t.speaker for t in hyp.turns], mid.size)
-    return _report(ref.rec_id, dur, ref_on, hyp_on)
+    return _report(ref.rec_id, dur, _reference_terms(dur, ref_on), hyp_on)
 
 
 def relabel_scorer(ref: Timeline, collar: float = 0.0, exact: bool = False):
@@ -195,8 +204,9 @@ def relabel_scorer(ref: Timeline, collar: float = 0.0, exact: bool = False):
     hypothesis with ref's turns, where turn k is spoken by speakers[k]."""
     dur, mid = _scored_pieces(ref, ref, collar, exact)
     ranges = _turn_ranges(ref.turns, mid)
-    ref_on = _activity(ranges, [t.speaker for t in ref.turns], mid.size)
-    return lambda speakers: _report(ref.rec_id, dur, ref_on,
+    terms = _reference_terms(dur, _activity(ranges, [t.speaker for t in ref.turns],
+                                            mid.size))
+    return lambda speakers: _report(ref.rec_id, dur, terms,
                                     _activity(ranges, speakers, mid.size))
 
 

@@ -4,11 +4,13 @@ corpus generator.
 The extractor maps a per-segment feature record to a probabilistic embedding:
 a trainable linear transform produces the mean, and a small
 linear-softplus-linear-softplus network maps quality features to diagonal
-precisions.  `Recording` and `Corpus` hold segments, generated or read from a
-corpus file.  The synthetic generator stands in for a speech front-end: it
-draws speakers and clean vectors from a two-covariance model, corrupts each
-segment with noise of per-segment variance, and emits quality features that
-encode the (noisy) corruption level.
+precisions.  `extract_batch` maps a recording's records to one
+`EmbeddingBatch`, and `extract` is its one-record case.  `Recording` and
+`Corpus` hold segments, generated or read from a corpus file.  The synthetic
+generator stands in for a speech front-end: it draws speakers and clean
+vectors from a two-covariance model, corrupts each segment with noise of
+per-segment variance, and emits quality features that encode the (noisy)
+corruption level.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .partitions import canonicalize
-from .plda import DiagPlda, FullPlda, ProbEmbedding, joint_diagonalize
+from .plda import DiagPlda, EmbeddingBatch, FullPlda, ProbEmbedding, joint_diagonalize
 
 # initialization scales for the precision net (means of the weights are 0)
 INIT_W1_STD = 0.1
@@ -77,11 +79,16 @@ class PrecisionNet:
         if h2 != h or self.b1.shape != (h,) or self.b2.shape != (d,):
             raise ShapeError("inconsistent precision-net parameter shapes")
 
+    # The layers take (n x q) quality rows and multiply each row on its own
+    # (a stack of vector-matrix products), so a row's bits do not depend on
+    # the rows beside it; one (n x q) @ (q x h) product would round
+    # differently.
     def hidden(self, quality: np.ndarray) -> np.ndarray:
-        return softplus(quality @ self.W1.T + self.b1)
+        return softplus(np.matmul(quality[:, None, :], self.W1.T)[:, 0] + self.b1)
 
     def precisions(self, quality: np.ndarray) -> np.ndarray:
-        return softplus(self.hidden(quality) @ self.W2.T + self.b2)
+        return softplus(np.matmul(self.hidden(quality)[:, None, :], self.W2.T)[:, 0]
+                        + self.b2)
 
 
 @dataclass(frozen=True)
@@ -107,15 +114,27 @@ class ExtractorModel:
         return self.A.shape[1]
 
 
+def extract_batch(records, model: ExtractorModel) -> EmbeddingBatch:
+    """Map segment records to the batch of their probabilistic embeddings.
+    Every product is stacked per record, so row k has the bits of `extract`
+    of record k alone."""
+    try:
+        raw = np.stack([r.raw for r in records])
+        quality = np.stack([r.quality for r in records])
+    except ValueError as exc:   # no records, or records of unequal dims
+        raise ShapeError(f"need one or more records of equal dims: {exc}") from None
+    if raw.shape[1:] != (model.raw_dim,):
+        raise ShapeError(f"raw dim {raw.shape[1:]} != transform input {model.raw_dim}")
+    if quality.shape[1:] != (model.net.W1.shape[1],):
+        raise ShapeError("quality dim does not match precision-net input")
+    return EmbeddingBatch(np.matmul(model.A, raw[:, :, None])[:, :, 0],
+                          model.net.precisions(quality))
+
+
 def extract(rec: SegmentRecord, model: ExtractorModel) -> ProbEmbedding:
     """Map one segment record to a probabilistic embedding."""
-    if rec.raw.shape[0] != model.raw_dim:
-        raise ShapeError(f"raw dim {rec.raw.shape[0]} != transform input {model.raw_dim}")
-    if rec.quality.shape[0] != model.net.W1.shape[1]:
-        raise ShapeError("quality dim does not match precision-net input")
-    xhat = model.A @ rec.raw
-    prec = model.net.precisions(rec.quality)
-    return ProbEmbedding(xhat, prec)
+    batch = extract_batch([rec], model)
+    return ProbEmbedding(batch.xhat[0], batch.prec[0])
 
 
 def init_extractor(full: FullPlda, seed: int, margin: float = 100.0,

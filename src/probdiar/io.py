@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, ProbdiarError
 from .extractor import ExtractorModel, PrecisionNet, Recording, SegmentRecord
 from .plda import DiagPlda
 
@@ -72,6 +72,8 @@ def load_model(path) -> tuple[ExtractorModel, DiagPlda]:
         b2, pos = _read_matrix(lines, pos, "b2")
         header = {key: int(fields[key])
                   for key in ("dim", "raw_dim", "quality_dim", "hidden")}
+    except ProbdiarError:   # the checks above, with their own types and lines
+        raise
     except (ValueError, KeyError, IndexError) as exc:
         raise ParseError(f"malformed model file {path}: {exc}") from exc
     # every size the header states, against each array that has it

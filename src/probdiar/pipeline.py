@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .clustering import AhcConfig, ahc, cut, merge_trace
+from .clustering import AhcConfig, ahc, cuts, merge_trace
 from .evalkit import DerReport, Timeline, Turn, aggregate_der, der, relabel_scorer
-from .extractor import ExtractorModel, extract
+from .extractor import ExtractorModel, extract_batch
 from .plda import DiagPlda
 
 
@@ -28,8 +28,7 @@ def reference_timeline(rec) -> Timeline:
 
 def diarize_recording(rec, model: ExtractorModel, plda: DiagPlda,
                       cfg: AhcConfig) -> Timeline:
-    embeddings = [extract(sr, model) for sr in rec.records]
-    return _timeline(rec, ahc(embeddings, plda, cfg))
+    return _timeline(rec, ahc(extract_batch(rec.records, model), plda, cfg))
 
 
 def diarize_corpus(recordings, model: ExtractorModel, plda: DiagPlda,
@@ -49,22 +48,24 @@ def evaluate(recordings, model: ExtractorModel, plda: DiagPlda, cfg: AhcConfig,
 
 
 def _sweep_ders(recordings, cfgs, model: ExtractorModel, plda: DiagPlda):
-    """Aggregate DER of the recordings under each config.  Configs of one
-    likelihood scale cut one merge trace; equal labels share one report, and
-    all labellings of a recording share its scored pieces."""
+    """Aggregate DER of the recordings under each config.  The configs of
+    one likelihood scale are cut from one replay of one merge trace; equal
+    labels share one report, and all labellings of a recording share its
+    scored pieces and reference terms."""
+    by_scale = {}
+    for k, cfg in enumerate(cfgs):
+        by_scale.setdefault(cfg.likelihood_scale, []).append(k)
     reports = [[] for _ in cfgs]
     for rec in recordings:
-        embeddings = [extract(sr, model) for sr in rec.records]
+        emb = extract_batch(rec.records, model)
         score = relabel_scorer(reference_timeline(rec))
-        traces, scored = {}, {}
-        for out, cfg in zip(reports, cfgs):
-            scale = cfg.likelihood_scale
-            if scale not in traces:
-                traces[scale] = merge_trace(embeddings, plda, cfg)
-            labels = cut(traces[scale], cfg.sigma)
-            if labels not in scored:
-                scored[labels] = score(_speakers(labels))
-            out.append(scored[labels])
+        scored = {}
+        for ks in by_scale.values():
+            trace = merge_trace(emb, plda, cfgs[ks[0]])
+            for k, labels in zip(ks, cuts(trace, [cfgs[k].sigma for k in ks])):
+                if labels not in scored:
+                    scored[labels] = score(_speakers(labels))
+                reports[k].append(scored[labels])
     return [aggregate_der(reps).der for reps in reports]
 
 

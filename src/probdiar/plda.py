@@ -45,6 +45,48 @@ class ProbEmbedding:
         return self.xhat.shape[0]
 
 
+@dataclass(frozen=True, eq=False)
+class EmbeddingBatch:
+    """The probabilistic embeddings of n segments as (n x D) arrays of means
+    and diagonal precisions, validated once for the whole batch.  Equality
+    is identity."""
+
+    xhat: np.ndarray
+    prec: np.ndarray
+
+    def __post_init__(self):
+        try:
+            xhat = np.asarray(self.xhat, dtype=np.float64)
+            prec = np.asarray(self.prec, dtype=np.float64)
+        except ValueError as exc:   # ragged nested sequences
+            raise ShapeError(f"xhat/prec must be (n x D) arrays: {exc}") from None
+        object.__setattr__(self, "xhat", xhat)
+        object.__setattr__(self, "prec", prec)
+        if xhat.shape != prec.shape or xhat.ndim != 2:
+            raise ShapeError(f"xhat/prec must be (n x D) arrays of one shape, got "
+                             f"{xhat.shape} and {prec.shape}")
+        if not np.all(np.isfinite(xhat)):
+            raise DomainError("xhat must be finite")
+        if not (np.all(np.isfinite(prec)) and np.all(prec >= 0)):
+            raise DomainError("prec must be finite and nonnegative")
+
+    def __len__(self) -> int:
+        return self.xhat.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.xhat.shape[1]
+
+    @classmethod
+    def stack(cls, embeddings) -> "EmbeddingBatch":
+        """The batch of a nonempty sequence of ProbEmbeddings of one dim."""
+        embeddings = list(embeddings)
+        if not embeddings or len({e.dim for e in embeddings}) != 1:
+            raise ShapeError("need one or more embeddings of one dim")
+        return cls(np.stack([e.xhat for e in embeddings]),
+                   np.stack([e.prec for e in embeddings]))
+
+
 @dataclass(frozen=True)
 class DiagPlda:
     """Within-speaker diagonal precision of the diagonalized model."""

@@ -21,8 +21,8 @@ from probdiar.partitions import (CrpParams, bell_number, build_tables,
                                  canonicalize, crp_log_prob, enumerate_rgs,
                                  expected_cluster_count, fit_crp)
 from probdiar.pipeline import evaluate, sweep
-from probdiar.plda import (ClusterStats, DiagPlda, ProbEmbedding, accumulate,
-                           cluster_loglik, clustering_log_posterior)
+from probdiar.plda import (ClusterStats, DiagPlda, EmbeddingBatch, ProbEmbedding,
+                           accumulate, cluster_loglik, clustering_log_posterior)
 from probdiar.training import OctetTrial, TrainConfig, finite_difference_check, train
 
 from .conftest import brute_force_log_posterior
@@ -189,7 +189,7 @@ def test_criterion_6_by_the_book_ahc():
         plda = DiagPlda(rng.uniform(0.5, 2.0, d))
         embs = [ProbEmbedding(rng.normal(size=d), rng.uniform(0, 4, d))
                 for _ in range(n)]
-        labels = ahc_by_the_book(embs, plda, AhcConfig(sigma=0.0))
+        labels = ahc_by_the_book(EmbeddingBatch.stack(embs), plda, AhcConfig(sigma=0.0))
         replay_labels, gains, final_stats = greedy_replay(embs, plda)
         # same greedy decisions, every merge strictly positive
         assert labels == replay_labels

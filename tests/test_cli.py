@@ -97,6 +97,14 @@ class TestDiarize:
         assert out.exists()
 
 
+    def test_nan_sigma_is_numeric_error(self, workdir, tmp_path, capsys):
+        assert run(["diarize", "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(workdir / "model.txt"),
+                    "--out", str(tmp_path / "h.rttm"), "--sigma", "nan"]) == 3
+        assert "[numeric] sigma must not be NaN" in capsys.readouterr().err
+        assert not (tmp_path / "h.rttm").exists()
+
+
 class TestScore:
     def test_perfect_score(self, workdir, capsys):
         assert run(["score", "--ref", str(workdir / "ref.rttm"),
@@ -151,6 +159,14 @@ class TestSweep:
         assert len(out.splitlines()) == 5  # header + 3 rows + best line
         assert out.splitlines()[-1].startswith("best sigma")
 
+
+    def test_nan_value_is_numeric_error(self, workdir, capsys):
+        assert run(["sweep", "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(workdir / "model.txt"),
+                    "--param", "sigma", "--values=nan,0"]) == 3
+        captured = capsys.readouterr()
+        assert "[numeric] sigma must not be NaN" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("values", ["1,abc", "1,,2"])
     def test_bad_values_flag_is_usage_error(self, workdir, capsys, values):
@@ -315,6 +331,21 @@ class TestErrorsAndUsage:
                     "--model", str(bad),
                     "--out", str(tmp_path / "h.rttm")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("line, text, message", [
+        (0, "format_version 99", "unsupported model format version 99"),
+        (5, "v 1 2 3", "line 6: expected w vector")])
+    def test_model_file_errors_keep_their_messages(self, workdir, tmp_path, capsys,
+                                                  line, text, message):
+        lines = (workdir / "model.txt").read_text().splitlines()
+        lines[line] = text
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["diarize", "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(bad),
+                    "--out", str(tmp_path / "h.rttm")]) == 2
+        err = capsys.readouterr().err
+        assert f"[data] {message}" in err and "malformed" not in err
 
     def test_model_header_mismatch_is_data_error(self, workdir, tmp_path, capsys):
         lines = (workdir / "model.txt").read_text().splitlines()

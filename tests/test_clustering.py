@@ -14,14 +14,18 @@ import pytest
 import probdiar as pd
 from probdiar import clustering
 from probdiar.clustering import (PLUGIN_PREC_FACTOR, AhcConfig, ahc, ahc_baseline,
-                                 ahc_by_the_book, cut, merge_delta, merge_trace,
+                                 ahc_by_the_book, cut, cuts, merge_delta, merge_trace,
                                  unsupervised_calibration)
 from probdiar.errors import CalibrationError, DomainError
 from probdiar.partitions import canonicalize, enumerate_rgs
-from probdiar.plda import (ClusterStats, DiagPlda, ProbEmbedding, accumulate,
-                           cluster_loglik, pairwise_llr)
+from probdiar.plda import (ClusterStats, DiagPlda, EmbeddingBatch, ProbEmbedding,
+                           accumulate, cluster_loglik, pairwise_llr)
 
 from .ahc_loop import loop_baseline_trace, loop_book_trace
+
+stack = EmbeddingBatch.stack
+# the stopping-threshold grid of the acceptance suite's end-to-end fixture
+SIGMA_GRID = (-20, -15, -10, -7, -5, -3, -2, -1, 0, 1, 2, 3, 5, 10, 20)
 
 
 def random_embeddings(rng, n, d=4):
@@ -67,13 +71,13 @@ class TestMergeDelta:
 class TestAhcByTheBook:
     def test_single_segment(self):
         plda = DiagPlda(np.ones(2))
-        assert ahc([ProbEmbedding(np.zeros(2), np.ones(2))], plda,
+        assert ahc(stack([ProbEmbedding(np.zeros(2), np.ones(2))]), plda,
                    AhcConfig()) == (1,)
 
     def test_no_evidence_no_merge(self):
         plda = DiagPlda(np.ones(2))
         embs = [ProbEmbedding(np.zeros(2), np.zeros(2)) for _ in range(2)]
-        assert ahc_by_the_book(embs, plda, AhcConfig(sigma=0.0)) == (1, 2)
+        assert ahc_by_the_book(stack(embs), plda, AhcConfig(sigma=0.0)) == (1, 2)
 
     def test_recovers_well_separated_speakers(self, rng):
         plda = DiagPlda(np.full(3, 4.0))
@@ -81,7 +85,7 @@ class TestAhcByTheBook:
         truth = [1, 1, 2, 1, 2, 2, 1, 2]
         embs = [ProbEmbedding(centers[k] + 0.1 * rng.normal(size=3),
                               np.full(3, 50.0)) for k in truth]
-        assert ahc_by_the_book(embs, plda, AhcConfig()) == canonicalize(truth)
+        assert ahc_by_the_book(stack(embs), plda, AhcConfig()) == canonicalize(truth)
 
     def test_each_merge_strictly_improves(self, rng):
         """Mirror the greedy search step by step and verify every accepted
@@ -89,7 +93,7 @@ class TestAhcByTheBook:
         plda = DiagPlda(rng.uniform(0.5, 2.0, 4))
         for _ in range(10):
             embs = random_embeddings(rng, 7)
-            labels = ahc_by_the_book(embs, plda, AhcConfig(sigma=0.0))
+            labels = ahc_by_the_book(stack(embs), plda, AhcConfig(sigma=0.0))
             # replay: labels must be reachable by positive-gain merges, and
             # the final likelihood must beat all-singletons
             singletons = partition_loglik(tuple(range(1, 8)), embs, plda)
@@ -102,21 +106,21 @@ class TestAhcByTheBook:
         plda = DiagPlda(rng.uniform(0.5, 2.0, 4))
         for _ in range(10):
             embs = random_embeddings(rng, 6)
-            labels = ahc_by_the_book(embs, plda, AhcConfig(sigma=0.0))
+            labels = ahc_by_the_book(stack(embs), plda, AhcConfig(sigma=0.0))
             best = max(partition_loglik(p, embs, plda) for p in enumerate_rgs(6))
             assert partition_loglik(labels, embs, plda) <= best + 1e-10
 
     def test_positive_sigma_merges_less(self, rng):
         plda = DiagPlda(rng.uniform(0.5, 2.0, 4))
         embs = random_embeddings(rng, 8)
-        loose = ahc_by_the_book(embs, plda, AhcConfig(sigma=-5.0))
-        tight = ahc_by_the_book(embs, plda, AhcConfig(sigma=5.0))
+        loose = ahc_by_the_book(stack(embs), plda, AhcConfig(sigma=-5.0))
+        tight = ahc_by_the_book(stack(embs), plda, AhcConfig(sigma=5.0))
         assert max(tight) >= max(loose)
 
     def test_likelihood_scale_matches_scaled_stats(self, rng):
         plda = DiagPlda(rng.uniform(0.5, 2.0, 4))
         embs = random_embeddings(rng, 6)
-        labels = ahc_by_the_book(embs, plda,
+        labels = ahc_by_the_book(stack(embs), plda,
                                  AhcConfig(sigma=0.0, likelihood_scale=0.3))
         # the scaled search still never beats the scaled exhaustive optimum
         best = max(partition_loglik(p, embs, plda, scale=0.3)
@@ -125,7 +129,8 @@ class TestAhcByTheBook:
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            ahc_by_the_book([], DiagPlda(np.ones(2)), AhcConfig())
+            ahc_by_the_book(EmbeddingBatch(np.zeros((0, 2)), np.zeros((0, 2))),
+                            DiagPlda(np.ones(2)), AhcConfig())
 
 
 class TestUnsupervisedCalibration:
@@ -153,12 +158,12 @@ class TestAhcBaseline:
     def test_identical_pair_merges(self):
         plda = DiagPlda(np.ones(2))
         emb = ProbEmbedding(np.array([1.0, -1.0]), np.full(2, 1e9))
-        assert ahc_baseline([emb, emb], plda, AhcConfig(mode="baseline")) == (1, 1)
+        assert ahc_baseline(stack([emb, emb]), plda, AhcConfig(mode="baseline")) == (1, 1)
 
     def test_infinite_threshold_all_singletons(self, rng):
         plda = DiagPlda(rng.uniform(0.5, 2.0, 3))
         embs = random_embeddings(rng, 6, d=3)
-        labels = ahc_baseline(embs, plda,
+        labels = ahc_baseline(stack(embs), plda,
                               AhcConfig(mode="baseline", sigma=np.inf))
         assert labels == tuple(range(1, 7))
 
@@ -169,7 +174,7 @@ class TestAhcBaseline:
         plda = DiagPlda(rng.uniform(0.5, 2.0, 3))
         for _ in range(10):
             embs = random_embeddings(rng, 6, d=3)
-            got = ahc_baseline(embs, plda, AhcConfig(mode="baseline", sigma=0.0))
+            got = ahc_baseline(stack(embs), plda, AhcConfig(mode="baseline", sigma=0.0))
 
             plugged = [ProbEmbedding(e.xhat, PLUGIN_PREC_FACTOR * plda.w)
                        for e in embs]
@@ -203,7 +208,7 @@ class TestAhcBaseline:
 
     def test_needs_two_segments(self):
         with pytest.raises(DomainError):
-            ahc_baseline([ProbEmbedding(np.zeros(2), np.zeros(2))],
+            ahc_baseline(stack([ProbEmbedding(np.zeros(2), np.zeros(2))]),
                          DiagPlda(np.ones(2)), AhcConfig(mode="baseline"))
 
 
@@ -214,13 +219,29 @@ class TestAhcDispatch:
         with pytest.raises(DomainError):
             AhcConfig(likelihood_scale=0.0)
 
+    def test_nan_sigma_rejected(self, rng):
+        """NaN compares with no score: book AHC would merge nothing and the
+        baseline everything.  The infinities stay valid."""
+        with pytest.raises(DomainError, match="NaN"):
+            AhcConfig(sigma=float("nan"))
+        for mode in ("by_the_book", "baseline"):
+            trace = merge_trace(stack(random_embeddings(rng, 5)), DiagPlda(np.ones(4)),
+                                AhcConfig(mode=mode))
+            with pytest.raises(DomainError, match="NaN"):
+                cuts(trace, [0.0, np.nan])
+            with pytest.raises(DomainError, match="NaN"):
+                cut(trace, np.nan)
+            assert cut(trace, np.inf) == tuple(range(1, 6))
+            assert cut(trace, -np.inf) == (1,) * 5
+            assert AhcConfig(mode=mode, sigma=-np.inf).sigma == -np.inf
+
     def test_dispatches_by_mode(self, rng):
         plda = DiagPlda(rng.uniform(0.5, 2.0, 3))
         embs = random_embeddings(rng, 5, d=3)
-        assert ahc(embs, plda, AhcConfig(mode="by_the_book")) == \
-            ahc_by_the_book(embs, plda, AhcConfig(mode="by_the_book"))
-        assert ahc(embs, plda, AhcConfig(mode="baseline")) == \
-            ahc_baseline(embs, plda, AhcConfig(mode="baseline"))
+        assert ahc(stack(embs), plda, AhcConfig(mode="by_the_book")) == \
+            ahc_by_the_book(stack(embs), plda, AhcConfig(mode="by_the_book"))
+        assert ahc(stack(embs), plda, AhcConfig(mode="baseline")) == \
+            ahc_baseline(stack(embs), plda, AhcConfig(mode="baseline"))
 
 
 class TestMergeTrace:
@@ -232,20 +253,20 @@ class TestMergeTrace:
         cfg = AhcConfig(mode=mode)
         for _ in range(5):
             embs = random_embeddings(rng, 9, d=3)
-            trace = merge_trace(embs, plda, cfg)
+            trace = merge_trace(stack(embs), plda, cfg)
             grid = [np.inf, 20, 5, 1, 0, -1, -5, -20, -np.inf]
             for sigma in grid:
-                assert cut(trace, sigma) == ahc(embs, plda, replace(cfg, sigma=sigma))
+                assert cut(trace, sigma) == ahc(stack(embs), plda, replace(cfg, sigma=sigma))
             assert len(trace.records) == 8
             offset = trace.calibration or 0.0
             for _, _, score in trace.records:
                 for sigma in (score - offset, np.nextafter(score - offset, np.inf)):
-                    assert cut(trace, sigma) == ahc(embs, plda, replace(cfg, sigma=sigma))
+                    assert cut(trace, sigma) == ahc(stack(embs), plda, replace(cfg, sigma=sigma))
 
     def test_book_stops_at_a_gain_equal_to_sigma(self, rng):
         plda = DiagPlda(rng.uniform(0.5, 2.0, 3))
         embs = random_embeddings(rng, 6, d=3)
-        trace = merge_trace(embs, plda, AhcConfig())
+        trace = merge_trace(stack(embs), plda, AhcConfig())
         _, _, first = next(iter(trace))
         assert cut(trace, first) == tuple(range(1, 7))
         assert cut(trace, np.nextafter(first, -np.inf)) != tuple(range(1, 7))
@@ -255,12 +276,12 @@ class TestMergeTrace:
         x = ProbEmbedding(np.array([2.0, 0.0]), np.full(2, 5.0))
         y = ProbEmbedding(np.array([-2.0, 0.0]), np.full(2, 5.0))
         for mode in ("by_the_book", "baseline"):
-            trace = merge_trace([y, x, y, x], plda, AhcConfig(mode=mode))
+            trace = merge_trace(stack([y, x, y, x]), plda, AhcConfig(mode=mode))
             cut(trace, -np.inf)
             assert [r[:2] for r in trace.records[:2]] == [(0, 2), (1, 3)]
 
     def test_interleaved_iterations_see_every_record(self, rng):
-        trace = merge_trace(random_embeddings(rng, 6), DiagPlda(np.ones(4)), AhcConfig())
+        trace = merge_trace(stack(random_embeddings(rng, 6)), DiagPlda(np.ones(4)), AhcConfig())
         outer, inner = iter(trace), iter(trace)
         seen = [next(outer)]
         ahead = [next(inner), next(inner)]
@@ -272,7 +293,60 @@ class TestMergeTrace:
         plda = DiagPlda(np.ones(2))
         emb = [ProbEmbedding(np.zeros(2), np.ones(2))]
         for mode in ("by_the_book", "baseline"):
-            assert cut(merge_trace(emb, plda, AhcConfig(mode=mode)), 0.0) == (1,)
+            assert cut(merge_trace(stack(emb), plda, AhcConfig(mode=mode)), 0.0) == (1,)
+
+
+def replay(trace, sigma):
+    """Labels after the merges sigma accepts, replayed record by record up to
+    the first one it stops: the one-sigma cut of earlier versions."""
+    raw = np.arange(trace.n)
+    for a, b, score in trace:
+        if (not score > sigma) if trace.calibration is None \
+                else score < trace.calibration + sigma:
+            break
+        raw[raw == b] = a
+    return canonicalize(raw.tolist())
+
+
+class TestCuts:
+    """One replay for many sigmas equals a replay per sigma."""
+
+    @pytest.mark.parametrize("mode", ["by_the_book", "baseline"])
+    def test_grid_equals_per_sigma_cut(self, rng, mode):
+        grid = SIGMA_GRID + (np.inf, -np.inf)
+        plda = DiagPlda(rng.uniform(0.5, 2.0, 3))
+        for n in (1, 2, 9, 17):
+            embs = stack(random_embeddings(rng, n, d=3))
+            trace = merge_trace(embs, plda, AhcConfig(mode=mode))
+            got = cuts(trace, grid)
+            assert got == [cut(trace, s) for s in grid]
+            assert got == [replay(trace, s) for s in grid]
+
+    @pytest.mark.parametrize("mode", ["by_the_book", "baseline"])
+    def test_sigmas_on_recorded_scores_in_any_order(self, rng, mode):
+        """Sigmas equal to a recorded score, or one ulp off it, shuffled and
+        repeated, each cut from a fresh (lazily pulled) trace."""
+        plda = DiagPlda(rng.uniform(0.5, 2.0, 3))
+        for _ in range(5):
+            embs = stack(random_embeddings(rng, 9, d=3))
+            full = merge_trace(embs, plda, AhcConfig(mode=mode))
+            list(full)
+            offset = full.calibration or 0.0
+            sigmas = [x for _, _, score in full.records
+                      for x in (score - offset, np.nextafter(score - offset, np.inf),
+                                np.nextafter(score - offset, -np.inf))]
+            sigmas = [float(s) for s in rng.permutation(sigmas + sigmas[:4] + [3.0])]
+            want = [replay(full, s) for s in sigmas]
+            assert cuts(merge_trace(embs, plda, AhcConfig(mode=mode)), sigmas) == want
+            assert len(set(want)) > 2
+
+    def test_replay_stops_at_the_smallest_sigma(self, rng):
+        trace = merge_trace(stack(random_embeddings(rng, 8)), DiagPlda(np.ones(4)),
+                            AhcConfig())
+        first = next(iter(trace))[2]
+        assert cuts(trace, [first, np.nextafter(first, np.inf)]) == [tuple(range(1, 9))] * 2
+        assert len(trace.records) == 1
+        assert cuts(trace, []) == []
 
 
 class TestVectorizedEngine:
@@ -298,15 +372,31 @@ class TestVectorizedEngine:
             plda = DiagPlda(rng.uniform(0.3, 3.0, d))
             embs = self.recording(rng, n, d, duplicated)
             for scale in (1.0, 0.37):
-                got = merge_trace(embs, plda, AhcConfig(likelihood_scale=scale))
+                got = merge_trace(stack(embs), plda, AhcConfig(likelihood_scale=scale))
                 assert list(got) == list(loop_book_trace(embs, plda, scale))
-            got = merge_trace(embs, plda, AhcConfig(mode="baseline"))
+            got = merge_trace(stack(embs), plda, AhcConfig(mode="baseline"))
             want = loop_baseline_trace(embs, plda)
             assert list(got) == list(want)
             assert got.calibration == want.calibration
             if duplicated and n > 10:
                 scores = [score for _, _, score in got.records]
                 assert len(set(scores)) < len(scores)
+
+    @pytest.mark.parametrize("mode", ["by_the_book", "baseline"])
+    def test_ahc_on_batches_matches_loop(self, small_corpus, mode):
+        """Labels of AHC on extracted batches equal the loop engine's on
+        per-segment embeddings, at every sigma of the grid."""
+        for seed in range(2):
+            model, plda = pd.init_extractor(small_corpus.full_plda, seed=seed,
+                                            margin=100.0)
+            for rec in small_corpus.recordings:
+                embs = [pd.extract(sr, model) for sr in rec.records]
+                want = loop_book_trace(embs, plda, 1.0) if mode == "by_the_book" \
+                    else loop_baseline_trace(embs, plda)
+                batch = pd.extract_batch(rec.records, model)
+                for sigma in SIGMA_GRID:
+                    assert ahc(batch, plda, AhcConfig(mode=mode, sigma=sigma)) == \
+                        replay(want, sigma)
 
     @pytest.mark.parametrize("block", [1, 7, 100])
     def test_blocked_fill_matches_loop(self, rng, monkeypatch, block):
@@ -315,9 +405,9 @@ class TestVectorizedEngine:
         for n in (2, 17, 40):
             plda = DiagPlda(rng.uniform(0.3, 3.0, 9))
             embs = self.recording(rng, n, 9, duplicated=n > 10)
-            got = merge_trace(embs, plda, AhcConfig(likelihood_scale=0.37))
+            got = merge_trace(stack(embs), plda, AhcConfig(likelihood_scale=0.37))
             assert list(got) == list(loop_book_trace(embs, plda, 0.37))
-            got = merge_trace(embs, plda, AhcConfig(mode="baseline"))
+            got = merge_trace(stack(embs), plda, AhcConfig(mode="baseline"))
             want = loop_baseline_trace(embs, plda)
             assert list(got) == list(want)
             assert got.calibration == want.calibration
@@ -332,7 +422,7 @@ class TestVectorizedEngine:
                                                     rng.uniform(0, 3, (1500, d)))]
         tracemalloc.start()
         try:
-            merge_trace(embs, plda, AhcConfig())
+            merge_trace(stack(embs), plda, AhcConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

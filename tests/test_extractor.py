@@ -10,8 +10,8 @@ import probdiar as pd
 from probdiar.errors import DomainError, ShapeError
 from probdiar.extractor import (Corpus, ExtractorModel, PrecisionNet, Recording,
                                 SegmentRecord, SyntheticConfig, estimate_full_plda,
-                                extract, generate_corpus, init_extractor,
-                                inv_softplus, softplus)
+                                extract, extract_batch, generate_corpus,
+                                init_extractor, inv_softplus, softplus)
 from probdiar.plda import DiagPlda, clustering_log_posterior, joint_diagonalize
 
 from .conftest import brute_force_log_posterior
@@ -61,6 +61,65 @@ class TestExtract:
         with pytest.raises(ShapeError):
             extract(SegmentRecord(raw=np.zeros(4), quality=[0.0], duration=1.0),
                     model)
+
+
+class TestExtractBatch:
+    """Each row of a batch has the bits of its record extracted alone, and of
+    the per-segment products `A @ raw` and `quality @ W1.T` that `extract`
+    computed before batches existed (one product over all rows rounds
+    differently)."""
+
+    @staticmethod
+    def per_segment(rec, model):
+        net = model.net
+        hidden = softplus(rec.quality @ net.W1.T + net.b1)
+        return model.A @ rec.raw, softplus(hidden @ net.W2.T + net.b2)
+
+    @staticmethod
+    def random_model(rng, d, r, q):
+        h = 2 * d
+        net = PrecisionNet(W1=rng.normal(size=(h, q)), b1=rng.normal(size=h),
+                           W2=rng.normal(size=(d, h)), b2=rng.normal(size=d))
+        return ExtractorModel(A=rng.normal(size=(d, r)), net=net)
+
+    def assert_rows_exact(self, records, model):
+        batch = extract_batch(records, model)
+        assert len(batch) == len(records)
+        for k, rec in enumerate(records):
+            emb = extract(rec, model)
+            xhat, prec = self.per_segment(rec, model)
+            assert np.array_equal(batch.xhat[k], emb.xhat)
+            assert np.array_equal(batch.prec[k], emb.prec)
+            assert np.array_equal(batch.xhat[k], xhat)
+            assert np.array_equal(batch.prec[k], prec)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_extract_for_random_nets(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 7, 16, 33):
+            d, r, q = (int(k) for k in rng.integers((2, 2, 1), (20, 20, 4)))
+            model = self.random_model(rng, d, r, q)
+            self.assert_rows_exact(
+                [SegmentRecord(raw=rng.normal(size=r), quality=rng.normal(size=q),
+                               duration=1.0) for _ in range(n)], model)
+
+    def test_rows_equal_extract_for_initialized_models(self, small_corpus):
+        for seed in range(3):
+            model, _ = init_extractor(small_corpus.full_plda, seed=seed, margin=10.0)
+            for rec in small_corpus.recordings:
+                self.assert_rows_exact(rec.records, model)
+                self.assert_rows_exact(rec.records[:1], model)
+
+    def test_shapes(self, rng):
+        model = self.random_model(rng, 3, 3, 1)
+
+        def record(r, q):
+            return SegmentRecord(raw=np.zeros(r), quality=np.zeros(q), duration=1.0)
+
+        for records in ([], [record(3, 1), record(4, 1)], [record(4, 1)],
+                        [record(3, 1), record(3, 2)], [record(3, 2)]):
+            with pytest.raises(ShapeError):
+                extract_batch(records, model)
 
 
 class TestInitExtractor:
@@ -127,7 +186,7 @@ class TestGenerateCorpus:
                                      quality_dim=cfg.quality_dim)
         for rec in corpus.recordings:
             assert np.all(rec.oracle_prec > 1e20)
-            labels = pd.ahc([extract(sr, model) for sr in rec.records], plda,
+            labels = pd.ahc(pd.extract_batch(rec.records, model), plda,
                             pd.AhcConfig(mode="by_the_book", sigma=0.0))
             assert labels == rec.labels
 

@@ -38,8 +38,20 @@ class TestModelIo:
         text = path.read_text().splitlines()
         text[0] = "format_version 99"
         path.write_text("\n".join(text) + "\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="format version 99") as info:
             load_model(path)
+        assert type(info.value) is DataError
+
+    def test_bad_w_line_keeps_its_line_number(self, tmp_path, rng):
+        model, plda = random_model(rng)
+        path = tmp_path / "model.txt"
+        save_model(path, model, plda)
+        lines = path.read_text().splitlines()
+        lines[5] = "v 1 2 3"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="expected w vector") as info:
+            load_model(path)
+        assert info.value.line == 6
 
     def test_truncated_file(self, tmp_path, rng):
         model, plda = random_model(rng)

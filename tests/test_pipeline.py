@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from probdiar.clustering import AhcConfig, cut, merge_trace
-from probdiar.extractor import extract, init_extractor
+from probdiar.extractor import extract_batch, init_extractor
 from probdiar.pipeline import evaluate, sweep
 
 SIGMA_GRID = [-20, -5, -1, 0, 1, 5, 20]
@@ -24,7 +24,7 @@ def split(small_corpus):
 
 def recorded_gain(rec, model, plda):
     """A merge gain that the by-the-book engine records for this recording."""
-    trace = merge_trace([extract(sr, model) for sr in rec.records], plda, AhcConfig())
+    trace = merge_trace(extract_batch(rec.records, model), plda, AhcConfig())
     cut(trace, -np.inf)
     return trace.records[len(trace.records) // 2][2]
 

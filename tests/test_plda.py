@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from probdiar.errors import DecompositionError, DomainError, ShapeError
-from probdiar.plda import (ClusterStats, DiagPlda, FullPlda, ProbEmbedding,
-                           accumulate, cluster_loglik, clustering_log_posterior,
+from probdiar.plda import (ClusterStats, DiagPlda, EmbeddingBatch, FullPlda,
+                           ProbEmbedding, accumulate, cluster_loglik, clustering_log_posterior,
                            joint_diagonalize, pairwise_llr, segment_weight)
 
 from .conftest import brute_force_log_posterior
@@ -31,6 +31,36 @@ class TestValidation:
             ProbEmbedding([np.nan], [1.0])
         with pytest.raises(DomainError):
             ProbEmbedding([0.0], [-1.0])
+
+    def test_batch_stacks_embeddings(self, rng):
+        embs = [ProbEmbedding(rng.normal(size=3), rng.uniform(0.0, 2.0, 3))
+                for _ in range(5)]
+        batch = EmbeddingBatch.stack(embs)
+        assert len(batch) == 5 and batch.dim == 3
+        for k, emb in enumerate(embs):
+            assert np.array_equal(batch.xhat[k], emb.xhat)
+            assert np.array_equal(batch.prec[k], emb.prec)
+
+    def test_batch_shapes(self):
+        with pytest.raises(ShapeError):       # 1-D
+            EmbeddingBatch(np.zeros(3), np.zeros(3))
+        with pytest.raises(ShapeError):       # ragged rows
+            EmbeddingBatch([[0.0, 1.0], [0.0]], [[1.0, 1.0], [1.0]])
+        with pytest.raises(ShapeError):       # means and precisions differ
+            EmbeddingBatch(np.zeros((2, 3)), np.zeros((2, 2)))
+        with pytest.raises(ShapeError):
+            EmbeddingBatch.stack([])
+        with pytest.raises(ShapeError):
+            EmbeddingBatch.stack([ProbEmbedding([0.0], [1.0]),
+                                  ProbEmbedding([0.0, 0.0], [1.0, 1.0])])
+
+    @pytest.mark.parametrize("xhat, prec", [
+        ([[0.0, np.nan]], [[1.0, 1.0]]), ([[np.inf, 0.0]], [[1.0, 1.0]]),
+        ([[0.0, 0.0]], [[np.nan, 1.0]]), ([[0.0, 0.0]], [[1.0, -1e-300]]),
+        ([[0.0, 0.0]], [[np.inf, 1.0]])])
+    def test_batch_domain(self, xhat, prec):
+        with pytest.raises(DomainError):
+            EmbeddingBatch(xhat, prec)
 
     def test_plda_domain(self):
         with pytest.raises(DomainError):
