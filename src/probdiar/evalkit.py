@@ -2,14 +2,18 @@
 
 DER is computed with an exact optimal one-to-one speaker mapping (assignment
 problem on overlap durations).  One vectorized engine scores both modes over
-boolean (pieces x speakers) activity matrices; the modes differ only in the
-pieces: a 10 ms frame grid by default, or exact turn and collar boundaries.
+boolean (atoms x speakers) activity matrices; the modes differ only in the
+pieces the atoms are cut from: a 10 ms frame grid by default, or exact turn
+and collar boundaries.
 
 Piece midpoints ascend, so the pieces a turn is active on form one index
-range.  Relabellings of one reference's turns, as a sigma sweep produces,
-share their pieces, ranges and reference terms: `relabel_scorer` builds them
-once, and a labelling's speaker activities set its speakers' ranges, the
-same booleans `der` builds.
+range.  An atom is a maximal run of pieces on which no turn range starts or
+ends: every turn is active on all of an atom's pieces or on none, so the
+scoring terms only need each atom's summed duration, and their cost follows
+the number of turns, not the length of the recording.  Relabellings of one
+reference's turns, as a sigma sweep produces, share their atoms, ranges and
+reference terms: `relabel_scorer` builds them once, and a labelling's
+speaker activities set its speakers' ranges, the same booleans `der` builds.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DomainError, ParseError, ScoringError
+from .errors import DomainError, ParseError, ScoringError, ShapeError
 
 FRAME_STEP = 0.01  # seconds
 
@@ -138,20 +142,30 @@ def _scored_pieces(ref: Timeline, hyp: Timeline, collar: float, exact: bool):
     return (b - a)[scored], mid[scored]
 
 
-def _turn_ranges(turns, mid: np.ndarray) -> list[tuple[int, int]]:
-    """Index ranges [lo, hi) of the pieces whose midpoint each turn contains
-    (start < mid < end); contiguous because the midpoints ascend."""
+def _turn_ranges(turns, mid: np.ndarray) -> np.ndarray:
+    """(turns x 2) index ranges [lo, hi) of the pieces whose midpoint each
+    turn contains (start < mid < end); contiguous because the midpoints
+    ascend."""
     lo = np.searchsorted(mid, [t.start for t in turns], side="right")
     hi = np.searchsorted(mid, [t.end for t in turns], side="left")
-    return list(zip(lo.tolist(), hi.tolist()))
+    return np.stack([lo, hi], axis=1)
 
 
-def _activity(ranges, speakers, n_pieces: int) -> np.ndarray:
-    """Boolean (pieces x sorted speakers) matrix: speakers[k] is active on
-    the pieces of ranges[k].  It is a transposed speaker-major array, which
-    keeps the per-piece speaker counts in `_report` on contiguous memory."""
+def _atoms(dur: np.ndarray, *range_lists):
+    """Cut the pieces [0, len(dur)) into atoms at both ends of every range
+    in the given `_turn_ranges` arrays.  Returns the atoms' summed durations
+    and each range list in atom indices."""
+    bounds = np.unique(np.concatenate([[0, dur.size], *(r.ravel() for r in range_lists)]))
+    return (np.add.reduceat(dur, bounds[:-1]),
+            [np.searchsorted(bounds, r).tolist() for r in range_lists])
+
+
+def _activity(ranges, speakers, n_atoms: int) -> np.ndarray:
+    """Boolean (atoms x sorted speakers) matrix: speakers[k] is active on
+    the atoms of ranges[k].  It is a transposed speaker-major array, which
+    keeps the per-atom speaker counts in `_report` on contiguous memory."""
     column = {s: i for i, s in enumerate(sorted(set(speakers)))}
-    active = np.zeros((len(column), n_pieces), dtype=bool)
+    active = np.zeros((len(column), n_atoms), dtype=bool)
     for (lo, hi), s in zip(ranges, speakers):
         active[column[s], lo:hi] = True
     return active.T
@@ -159,15 +173,15 @@ def _activity(ranges, speakers, n_pieces: int) -> np.ndarray:
 
 def _reference_terms(dur, ref_on):
     """The terms of `_report` that depend on the reference alone: its
-    activity, the activity weighted by piece duration, the active speakers
-    per piece and the scored speech time."""
+    activity, the activity weighted by atom duration, the active speakers
+    per atom and the scored speech time."""
     n_ref = ref_on.sum(axis=1)
     return ref_on, ref_on * dur[:, None], n_ref, float(np.sum(dur * n_ref))
 
 
 def _report(rec_id, dur, ref, hyp_on) -> DerReport:
-    """Score a boolean (pieces x speakers) hypothesis activity against the
-    `_reference_terms` `ref` of a reference activity, with piece durations."""
+    """Score a boolean (atoms x speakers) hypothesis activity against the
+    `_reference_terms` `ref` of a reference activity, with atom durations."""
     ref_on, ref_dur, n_ref, total_ref = ref
     if total_ref == 0:
         raise ScoringError("reference has no scored speech (all excised by collar)")
@@ -194,20 +208,27 @@ def der(ref: Timeline, hyp: Timeline, collar: float = 0.0, exact: bool = False) 
     if ref.rec_id != hyp.rec_id:
         raise ScoringError(f"recording ids differ: {ref.rec_id!r} vs {hyp.rec_id!r}")
     dur, mid = _scored_pieces(ref, hyp, collar, exact)
-    ref_on = _activity(_turn_ranges(ref.turns, mid), [t.speaker for t in ref.turns], mid.size)
-    hyp_on = _activity(_turn_ranges(hyp.turns, mid), [t.speaker for t in hyp.turns], mid.size)
+    dur, (ref_ranges, hyp_ranges) = _atoms(dur, _turn_ranges(ref.turns, mid),
+                                           _turn_ranges(hyp.turns, mid))
+    ref_on = _activity(ref_ranges, [t.speaker for t in ref.turns], dur.size)
+    hyp_on = _activity(hyp_ranges, [t.speaker for t in hyp.turns], dur.size)
     return _report(ref.rec_id, dur, _reference_terms(dur, ref_on), hyp_on)
 
 
 def relabel_scorer(ref: Timeline, collar: float = 0.0, exact: bool = False):
     """`score(speakers)`, the report of `der(ref, hyp, collar, exact)` for the
-    hypothesis with ref's turns, where turn k is spoken by speakers[k]."""
+    hypothesis with ref's turns, where turn k is spoken by speakers[k].
+    A labelling of another length than ref's turns is a `ShapeError`."""
     dur, mid = _scored_pieces(ref, ref, collar, exact)
-    ranges = _turn_ranges(ref.turns, mid)
+    dur, (ranges,) = _atoms(dur, _turn_ranges(ref.turns, mid))
     terms = _reference_terms(dur, _activity(ranges, [t.speaker for t in ref.turns],
-                                            mid.size))
-    return lambda speakers: _report(ref.rec_id, dur, terms,
-                                    _activity(ranges, speakers, mid.size))
+                                            dur.size))
+
+    def score(speakers):
+        if len(speakers) != len(ranges):
+            raise ShapeError(f"{len(speakers)} speakers for {len(ranges)} turns")
+        return _report(ref.rec_id, dur, terms, _activity(ranges, speakers, dur.size))
+    return score
 
 
 def aggregate_der(reports) -> DerReport:

@@ -50,8 +50,9 @@ def evaluate(recordings, model: ExtractorModel, plda: DiagPlda, cfg: AhcConfig,
 def _sweep_ders(recordings, cfgs, model: ExtractorModel, plda: DiagPlda):
     """Aggregate DER of the recordings under each config.  The configs of
     one likelihood scale are cut from one replay of one merge trace; equal
-    labels share one report, and all labellings of a recording share its
-    scored pieces and reference terms."""
+    labels share one report, all labellings of a recording share its
+    atoms and reference terms, and configs with the same reports share one
+    aggregate."""
     by_scale = {}
     for k, cfg in enumerate(cfgs):
         by_scale.setdefault(cfg.likelihood_scale, []).append(k)
@@ -66,7 +67,9 @@ def _sweep_ders(recordings, cfgs, model: ExtractorModel, plda: DiagPlda):
                 if labels not in scored:
                     scored[labels] = score(_speakers(labels))
                 reports[k].append(scored[labels])
-    return [aggregate_der(reps).der for reps in reports]
+    keys = [tuple(map(id, reps)) for reps in reports]
+    ders = {key: aggregate_der(reps).der for key, reps in dict(zip(keys, reports)).items()}
+    return [ders[key] for key in keys]
 
 
 def sweep(param: str, values, dev_recordings, eval_recordings,

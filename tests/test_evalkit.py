@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from probdiar.errors import DomainError, ParseError, ScoringError
+from probdiar.errors import DomainError, ParseError, ScoringError, ShapeError
 from probdiar.evalkit import (DerReport, Timeline, Turn, _activity, _scored_pieces,
                               _turn_ranges, aggregate_der, der, read_rttm,
                               relabel_scorer, report_table, write_rttm)
@@ -264,6 +264,32 @@ class TestRelabelScorer:
             tracemalloc.stop()
         assert got == want
         assert peak < 100e6
+
+    def test_labelling_cost_does_not_grow_with_frames(self):
+        """An hour of 4 turns in 10 ms frames is 360k pieces but 5 atoms:
+        scoring a labelling allocates next to nothing."""
+        ref = tl("r", (0.0, 1000.0, "a"), (900.0, 1200.0, "b"),
+                 (2100.0, 700.0, "a"), (2800.0, 800.0, "c"))
+        labels = ["x", "y", "y", "x"]
+        hyp = Timeline("r", tuple(Turn(t.start, t.duration, s)
+                                  for t, s in zip(ref.turns, labels)))
+        score = relabel_scorer(ref)
+        tracemalloc.start()
+        try:
+            got = score(labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert got == der(ref, hyp)
+        TestVectorizedEngine.assert_same(ref, hyp)
+
+    def test_labelling_of_wrong_length_rejected(self):
+        score = relabel_scorer(tl("r", (0, 1, "a"), (1, 1, "b"), (2, 1, "a")))
+        for speakers in (["x", "y"], ["x", "y", "x", "z"]):
+            with pytest.raises(ShapeError, match="turns"):
+                score(speakers)
+        assert score(["x", "y", "x"]).der == 0.0
 
     def test_errors_match_der(self):
         with pytest.raises(ScoringError):
