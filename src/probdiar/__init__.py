@@ -11,8 +11,8 @@ from .extractor import (Corpus, ExtractorModel, PrecisionNet, Recording, Segment
                         generate_corpus, init_extractor)
 from .partitions import (CrpParams, PartitionTables, bell_number, build_tables,
                          canonicalize, crp_log_prob, enumerate_rgs, fit_crp)
-from .plda import (ClusterStats, DiagPlda, EmbeddingBatch, FullPlda, ProbEmbedding,
-                   accumulate, cluster_loglik, clustering_log_posterior,
-                   joint_diagonalize, pairwise_llr, segment_weight)
+from .plda import (DiagPlda, EmbeddingBatch, FullPlda, ProbEmbedding,
+                   clustering_log_posterior, joint_diagonalize, pairwise_llr,
+                   segment_weight)
 from .training import (GradientSet, OctetTrial, TrainConfig, cross_entropy,
                        finite_difference_check, gradients, sample_octets, train)

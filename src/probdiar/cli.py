@@ -162,6 +162,8 @@ def cmd_diarize(args):
 def cmd_score(args):
     refs = read_rttm(args.ref)
     hyps = read_rttm(args.hyp)
+    if not refs:
+        raise DataError(f"reference {args.ref} has no SPEAKER turns")
     missing = sorted(set(refs) - set(hyps))
     if missing:
         raise DataError(f"hypothesis missing recordings: {', '.join(missing)}")
@@ -200,8 +202,7 @@ def _check(ok, what):
 
 
 def cmd_selftest(args):
-    from .plda import (DiagPlda, ProbEmbedding, accumulate, cluster_loglik,
-                       clustering_log_posterior)
+    from .plda import DiagPlda, ProbEmbedding, clustering_log_posterior
 
     rng = np.random.default_rng(args.seed)
     print("partition counts...", end=" ")
@@ -218,12 +219,18 @@ def cmd_selftest(args):
         embs = [ProbEmbedding(rng.normal(size=d), rng.uniform(0, 3, d))
                 for _ in range(n)]
         post = clustering_log_posterior(embs, plda, tables)
+        # each cluster from its members' raw statistics: evidence weights
+        # e = w*prec/(w+prec), a = sum(e*xhat), b = sum(e)
+        prec = np.stack([emb.prec for emb in embs])
+        e = plda.w * prec / (plda.w + prec)
+        ex = e * np.stack([emb.xhat for emb in embs])
         direct = []
         for labels in tables.rgs:
             total = 0.0
             for k in set(labels):
-                total += cluster_loglik(accumulate(
-                    [embs[t] for t in range(n) if labels[t] == k], plda))
+                members = [t for t in range(n) if labels[t] == k]
+                a, b = ex[members].sum(axis=0), e[members].sum(axis=0)
+                total += 0.5 * float(np.sum(a * a / (1.0 + b) - np.log1p(b)))
             direct.append(total)
         direct = np.array(direct) + tables.log_prior
         from scipy.special import logsumexp

@@ -11,11 +11,12 @@ lazily into a `MergeTrace`, and `cuts` replays it once for any number of
 sigmas, keeping the labels at the prefix each sigma accepts.
 
 Both variants take a recording's embeddings as one `EmbeddingBatch` and
-score pairs as array operations.  Cluster statistics are kept as (n x D)
-arrays that merge by row addition, so the pair gains of all
-clusters (in blocks of pairs), or of one merged cluster against the rest,
-are broadcasts through the pooled log-likelihood; they equal `merge_delta`
-and `pairwise_llr` bit for bit.
+score pairs as array operations on the (n x D) statistics rows of
+`plda.segment_stats`, which merge by row addition.  `merge_delta` scores the
+pairs of two index arrays at once: all pairs (in blocks) when a trace
+starts, one merged cluster against the rest after each merge.  The baseline's
+plug-in scores are the same broadcast grouped as `pairwise_llr`, and equal it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import numpy as np
 
 from .errors import CalibrationError, DomainError, ShapeError
 from .partitions import canonicalize
-from .plda import (ClusterStats, DiagPlda, EmbeddingBatch, _pooled_loglik,
-                   cluster_loglik, segment_weight)
+from .plda import DiagPlda, EmbeddingBatch, _pooled_loglik, segment_stats
 
 # precision multiple used to emulate plug-in (infinite-precision) embeddings
 PLUGIN_PREC_FACTOR = 1e12
@@ -60,10 +60,11 @@ def _check_sigma(sigma):
         raise DomainError("sigma must not be NaN")
 
 
-def merge_delta(i: ClusterStats, j: ClusterStats) -> float:
-    """Log-likelihood gain of merging two clusters (ShapeError if their
-    dimensions differ)."""
-    return cluster_loglik(i + j) - cluster_loglik(i) - cluster_loglik(j)
+def merge_delta(a_bar: np.ndarray, b_bar: np.ndarray, g: np.ndarray, i, j):
+    """Log-likelihood gain of merging clusters i and j, given the clusters'
+    statistics rows a_bar, b_bar (n x D) and log-likelihoods g (n,); i and j
+    are indices or equal-length index arrays."""
+    return _pooled_loglik(a_bar[i] + a_bar[j], b_bar[i] + b_bar[j]) - g[i] - g[j]
 
 
 class MergeTrace:
@@ -160,35 +161,18 @@ def _pair_matrix(n: int, pair) -> np.ndarray:
     return score
 
 
-def _stacked_stats(emb: EmbeddingBatch, plda: DiagPlda, scale: float, prec=None):
-    """Per-segment statistics as (n x D) arrays a_bar = e * xhat and b_bar =
-    e, e the evidence weight of the precisions times scale, and the cluster
-    log-likelihood g of each row.  `prec`, a D-vector, replaces every
-    segment's precision when given."""
-    if not len(emb):
-        raise DomainError("need at least one segment")
-    if emb.dim != plda.dim:
-        raise ShapeError(f"embedding dim {emb.dim} != model dim {plda.dim}")
-    e = segment_weight(plda, emb.prec if prec is None
-                       else np.broadcast_to(prec, emb.prec.shape)) * scale
-    a_bar = e * emb.xhat
-    return a_bar, e, _pooled_loglik(a_bar, e)
-
-
 def _book_trace(emb: EmbeddingBatch, plda: DiagPlda, scale: float) -> MergeTrace:
-    a_bar, b_bar, g = _stacked_stats(emb, plda, scale)
-
-    def gain(i, j):
-        return _pooled_loglik(a_bar[i] + a_bar[j], b_bar[i] + b_bar[j]) - g[i] - g[j]
+    a_bar, b_bar, g = segment_stats(emb, plda, scale)
 
     def rescore(a, b, others):
         # gains of untouched pairs stay exact because stats merge additively
         a_bar[a] += a_bar[b]
         b_bar[a] += b_bar[b]
         g[a] = _pooled_loglik(a_bar[a], b_bar[a])
-        return gain(a, others)
+        return merge_delta(a_bar, b_bar, g, a, others)
 
-    return MergeTrace(len(g), _greedy_merges(_pair_matrix(len(g), gain), rescore))
+    gains = _pair_matrix(len(g), lambda i, j: merge_delta(a_bar, b_bar, g, i, j))
+    return MergeTrace(len(g), _greedy_merges(gains, rescore))
 
 
 def ahc_by_the_book(emb: EmbeddingBatch, plda: DiagPlda,
@@ -244,7 +228,7 @@ def unsupervised_calibration(scores) -> float:
 
 
 def _baseline_trace(emb: EmbeddingBatch, plda: DiagPlda) -> MergeTrace:
-    a_bar, b_bar, g = _stacked_stats(emb, plda, 1.0, prec=PLUGIN_PREC_FACTOR * plda.w)
+    a_bar, b_bar, g = segment_stats(emb, plda, 1.0, prec=PLUGIN_PREC_FACTOR * plda.w)
     # grouped as pairwise_llr groups it
     sim = _pair_matrix(len(g), lambda i, j: _pooled_loglik(a_bar[i] + a_bar[j],
                                                           b_bar[i] + b_bar[j]) - (g[i] + g[j]))

@@ -107,38 +107,6 @@ class DiagPlda:
 
 
 @dataclass(frozen=True)
-class ClusterStats:
-    """Pooled per-dimension sufficient statistics of a cluster.
-
-    Merging two clusters is the elementwise sum; the zero stats represent an
-    empty cluster.
-    """
-
-    a_bar: np.ndarray
-    b_bar: np.ndarray
-    count: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_bar", np.asarray(self.a_bar, dtype=np.float64))
-        object.__setattr__(self, "b_bar", np.asarray(self.b_bar, dtype=np.float64))
-        if self.a_bar.shape != self.b_bar.shape:
-            raise ShapeError("a_bar and b_bar must have the same shape")
-        if np.any(self.b_bar < 0):
-            raise DomainError("b_bar must be nonnegative")
-
-    def __add__(self, other: "ClusterStats") -> "ClusterStats":
-        if self.a_bar.shape != other.a_bar.shape:
-            raise ShapeError("cannot merge stats of different dimension")
-        return ClusterStats(self.a_bar + other.a_bar,
-                            self.b_bar + other.b_bar,
-                            self.count + other.count)
-
-    @classmethod
-    def zero(cls, dim: int) -> "ClusterStats":
-        return cls(np.zeros(dim), np.zeros(dim), 0)
-
-
-@dataclass(frozen=True)
 class FullPlda:
     """Untransformed two-covariance model: between- and within-speaker
     covariances in the raw embedding space."""
@@ -196,22 +164,6 @@ def segment_weight(plda: DiagPlda, prec: np.ndarray) -> np.ndarray:
     return plda.w * prec / (plda.w + prec)
 
 
-def segment_stats(embeddings, plda: DiagPlda, scale: float) -> list[ClusterStats]:
-    """Per-segment statistics (e*xhat, e), e the evidence weight times scale."""
-    stats = []
-    for emb in embeddings:
-        if emb.dim != plda.dim:
-            raise ShapeError(f"embedding dim {emb.dim} != model dim {plda.dim}")
-        e = segment_weight(plda, emb.prec) * scale
-        stats.append(ClusterStats(e * emb.xhat, e, 1))
-    return stats
-
-
-def accumulate(embeddings, plda: DiagPlda) -> ClusterStats:
-    """Pool a list of probabilistic embeddings into cluster statistics."""
-    return sum(segment_stats(embeddings, plda, 1.0), ClusterStats.zero(plda.dim))
-
-
 def _pooled_loglik(a_bar: np.ndarray, b_bar: np.ndarray, work=None, out=None):
     """0.5 * sum(a_bar^2 / (1 + b_bar) - log1p(b_bar)) over the last axis.
 
@@ -227,10 +179,20 @@ def _pooled_loglik(a_bar: np.ndarray, b_bar: np.ndarray, work=None, out=None):
     return np.multiply(np.sum(t, axis=-1, out=out), 0.5, out=out)
 
 
-def cluster_loglik(stats: ClusterStats) -> float:
-    """Log-likelihood of a cluster given its pooled stats, with the
-    partition-independent constant fixed to zero."""
-    return float(_pooled_loglik(stats.a_bar, stats.b_bar))
+def segment_stats(emb: EmbeddingBatch, plda: DiagPlda, scale: float, prec=None):
+    """Per-segment statistics as (n x D) arrays a_bar = e * xhat and b_bar =
+    e, e the evidence weight of the precisions times scale, and the cluster
+    log-likelihood g of each row.  A cluster's statistics are the sums of its
+    members' rows.  `prec`, a D-vector, replaces every segment's precision
+    when given."""
+    if not len(emb):
+        raise DomainError("need at least one segment")
+    if emb.dim != plda.dim:
+        raise ShapeError(f"embedding dim {emb.dim} != model dim {plda.dim}")
+    e = segment_weight(plda, emb.prec if prec is None
+                       else np.broadcast_to(prec, emb.prec.shape)) * scale
+    a_bar = e * emb.xhat
+    return a_bar, e, _pooled_loglik(a_bar, e)
 
 
 def subset_logliks(e: np.ndarray, xh: np.ndarray, tables: PartitionTables,
@@ -294,20 +256,17 @@ def partition_log_posterior(g: np.ndarray, tables: PartitionTables,
 def clustering_log_posterior(embeddings, plda: DiagPlda,
                              tables: PartitionTables) -> np.ndarray:
     """Log posterior over all B_n partitions of the tuple."""
-    xh = np.stack([e.xhat for e in embeddings])
-    prec = np.stack([e.prec for e in embeddings])
-    if xh.shape[1] != plda.dim:
-        raise ShapeError(f"embedding dim {xh.shape[1]} != model dim {plda.dim}")
-    g, _, _ = subset_logliks(segment_weight(plda, prec), xh, tables)
+    emb = EmbeddingBatch.stack(embeddings)
+    if emb.dim != plda.dim:
+        raise ShapeError(f"embedding dim {emb.dim} != model dim {plda.dim}")
+    g, _, _ = subset_logliks(segment_weight(plda, emb.prec), emb.xhat, tables)
     return partition_log_posterior(g, tables)
 
 
 def pairwise_llr(e1: ProbEmbedding, e2: ProbEmbedding, plda: DiagPlda) -> float:
     """Same-speaker vs different-speaker log-likelihood ratio for a pair."""
-    if e1.dim != e2.dim:
-        raise ShapeError("embeddings must have matching dimension")
-    s1 = accumulate([e1], plda)
-    s2 = accumulate([e2], plda)
+    a_bar, b_bar, g = segment_stats(EmbeddingBatch.stack([e1, e2]), plda, 1.0)
     # grouping the singleton terms keeps the result exactly symmetric in
     # floating point
-    return cluster_loglik(s1 + s2) - (cluster_loglik(s1) + cluster_loglik(s2))
+    return float(_pooled_loglik(a_bar[0] + a_bar[1], b_bar[0] + b_bar[1])
+                 - (g[0] + g[1]))

@@ -28,10 +28,11 @@ def rng():
 
 def brute_force_log_posterior(embeddings, plda, tables):
     """Independent oracle: score every partition by looping over its clusters
-    with accumulate/cluster_loglik, then normalize with the prior."""
+    with the raw per-dimension formula of `pooled_oracle`, then normalize
+    with the prior."""
     from scipy.special import logsumexp
 
-    from probdiar.plda import accumulate, cluster_loglik
+    from .pooled_oracle import cluster_loglik
 
     n = len(embeddings)
     # subset likelihood cache keyed by the frozen member set
@@ -43,7 +44,7 @@ def brute_force_log_posterior(embeddings, plda, tables):
             members = frozenset(t for t in range(n) if labels[t] == k)
             if members not in cache:
                 cache[members] = cluster_loglik(
-                    accumulate([embeddings[t] for t in sorted(members)], plda))
+                    [embeddings[t] for t in sorted(members)], plda.w)
             total += cache[members]
         scores.append(total)
     logits = np.array(scores) + tables.log_prior

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import logsumexp
 
 import probdiar as pd
-from probdiar.clustering import AhcConfig, ahc_by_the_book, merge_delta
+from probdiar.clustering import AhcConfig, ahc_by_the_book
 from probdiar.evalkit import Timeline, Turn, der
 from probdiar.extractor import (ExtractorModel, PrecisionNet, SegmentRecord,
                                 SyntheticConfig, generate_corpus, init_extractor)
@@ -21,11 +21,11 @@ from probdiar.partitions import (CrpParams, bell_number, build_tables,
                                  canonicalize, crp_log_prob, enumerate_rgs,
                                  expected_cluster_count, fit_crp)
 from probdiar.pipeline import evaluate, sweep
-from probdiar.plda import (ClusterStats, DiagPlda, EmbeddingBatch, ProbEmbedding,
-                           accumulate, cluster_loglik, clustering_log_posterior)
+from probdiar.plda import DiagPlda, EmbeddingBatch, ProbEmbedding, clustering_log_posterior
 from probdiar.training import OctetTrial, TrainConfig, finite_difference_check, train
 
 from .conftest import brute_force_log_posterior
+from .pooled_oracle import member_stats, partition_loglik, stats_loglik
 
 
 def _ok(k, detail=""):
@@ -158,7 +158,7 @@ def test_criterion_6_by_the_book_ahc():
 
     def greedy_replay(embs, plda):
         """Independent greedy run that records every accepted merge gain."""
-        stats = [accumulate([e], plda) for e in embs]
+        stats = [member_stats([e], plda.w) for e in embs]
         members = [[t] for t in range(len(embs))]
         active = list(range(len(embs)))
         gains = []
@@ -166,15 +166,16 @@ def test_criterion_6_by_the_book_ahc():
             best, pair = -np.inf, None
             for i, a in enumerate(active):
                 for b in active[i + 1:]:
-                    dlt = cluster_loglik(stats[a] + stats[b]) \
-                        - cluster_loglik(stats[a]) - cluster_loglik(stats[b])
+                    (a1, b1), (a2, b2) = stats[a], stats[b]
+                    dlt = stats_loglik(a1 + a2, b1 + b2) \
+                        - stats_loglik(a1, b1) - stats_loglik(a2, b2)
                     if dlt > best or (dlt == best and (a, b) < pair):
                         best, pair = dlt, (a, b)
             if not best > 0.0:
                 break
             gains.append(best)
             a, b = pair
-            stats[a] = stats[a] + stats[b]
+            stats[a] = (stats[a][0] + stats[b][0], stats[a][1] + stats[b][1])
             members[a].extend(members[b])
             active.remove(b)
         raw = [0] * len(embs)
@@ -197,14 +198,12 @@ def test_criterion_6_by_the_book_ahc():
         # merged stats equal from-scratch recomputation
         for stats, k in zip(final_stats, sorted(set(labels),
                                                 key=list(labels).index)):
-            fresh = accumulate([embs[t] for t in range(n) if labels[t] == k],
-                               plda)
-            assert abs(cluster_loglik(stats) - cluster_loglik(fresh)) < 1e-9
+            fresh = member_stats([embs[t] for t in range(n) if labels[t] == k],
+                                 plda.w)
+            assert abs(stats_loglik(*stats) - stats_loglik(*fresh)) < 1e-9
         # never beats the exhaustive optimum
         def total_ll(p):
-            return sum(cluster_loglik(accumulate(
-                [embs[t] for t in range(n) if p[t] == k], plda))
-                for k in set(p))
+            return partition_loglik(p, embs, plda.w)
         best = max(total_ll(p) for p in enumerate_rgs(n))
         assert total_ll(labels) <= best + 1e-10
     _ok(6, "(20 replays: positive gains, exact stats, below optimum)")

@@ -135,6 +135,13 @@ class TestScore:
                     "--hyp", str(workdir / "ref.rttm"), f"--collar={collar}"]) == 3
         assert "[numeric] collar" in capsys.readouterr().err
 
+    def test_empty_reference_is_data_error(self, workdir, tmp_path, capsys):
+        ref = tmp_path / "empty.rttm"
+        ref.write_text("")
+        assert run(["score", "--ref", str(ref), "--hyp", str(workdir / "ref.rttm")]) == 2
+        err = capsys.readouterr().err
+        assert "[data]" in err and "empty.rttm" in err
+
     def test_zero_duration_turn_is_parse_error(self, workdir, tmp_path, capsys):
         lines = (workdir / "ref.rttm").read_text().splitlines()
         parts = lines[1].split()

@@ -18,9 +18,9 @@ from probdiar.clustering import (PLUGIN_PREC_FACTOR, AhcConfig, ahc, ahc_baselin
                                  unsupervised_calibration)
 from probdiar.errors import CalibrationError, DomainError
 from probdiar.partitions import canonicalize, enumerate_rgs
-from probdiar.plda import (ClusterStats, DiagPlda, EmbeddingBatch, ProbEmbedding,
-                           accumulate, cluster_loglik, pairwise_llr)
+from probdiar.plda import DiagPlda, EmbeddingBatch, ProbEmbedding, pairwise_llr, segment_stats
 
+from . import pooled_oracle
 from .ahc_loop import loop_baseline_trace, loop_book_trace
 
 stack = EmbeddingBatch.stack
@@ -35,25 +35,20 @@ def random_embeddings(rng, n, d=4):
 
 def partition_loglik(labels, embeddings, plda, scale=1.0):
     """Independent total log-likelihood of a labeling, from raw embeddings."""
-    total = 0.0
-    for k in set(labels):
-        members = [embeddings[t] for t in range(len(labels)) if labels[t] == k]
-        stats = accumulate(members, plda)
-        stats = ClusterStats(scale * stats.a_bar, scale * stats.b_bar, stats.count)
-        total += cluster_loglik(stats)
-    return total
+    return pooled_oracle.partition_loglik(labels, embeddings, plda.w, scale)
 
 
 class TestMergeDelta:
     def test_both_zero(self):
-        z = ClusterStats.zero(3)
-        assert merge_delta(z, z) == 0.0
+        z = np.zeros((2, 3))
+        assert merge_delta(z, z, np.zeros(2), 0, 1) == 0.0
 
     def test_hand_example(self):
-        s = ClusterStats([1.0], [0.5])
-        expected = 0.5 * (4.0 / 2.0 - math.log(2.0)) \
-            - 2 * 0.5 * (1.0 / 1.5 - math.log(1.5))
-        assert merge_delta(s, s) == pytest.approx(expected, abs=1e-12)
+        # two clusters with a = 1, b = 0.5 in one dimension
+        single = 0.5 * (1.0 / 1.5 - math.log(1.5))
+        expected = 0.5 * (4.0 / 2.0 - math.log(2.0)) - 2 * single
+        got = merge_delta(np.ones((2, 1)), np.full((2, 1), 0.5), np.full(2, single), 0, 1)
+        assert got == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.3920, abs=5e-4)
 
     def test_matches_raw_recomputation(self, rng):
@@ -61,11 +56,39 @@ class TestMergeDelta:
         for _ in range(20):
             embs = random_embeddings(rng, 6)
             left, right = embs[:3], embs[3:]
-            delta = merge_delta(accumulate(left, plda), accumulate(right, plda))
-            direct = cluster_loglik(accumulate(embs, plda)) \
-                - cluster_loglik(accumulate(left, plda)) \
-                - cluster_loglik(accumulate(right, plda))
+            a_bar, b_bar, _ = segment_stats(stack(embs), plda, 1.0)
+            a_bar = np.stack([a_bar[:3].sum(axis=0), a_bar[3:].sum(axis=0)])
+            b_bar = np.stack([b_bar[:3].sum(axis=0), b_bar[3:].sum(axis=0)])
+            g = np.array([pooled_oracle.cluster_loglik(left, plda.w),
+                          pooled_oracle.cluster_loglik(right, plda.w)])
+            delta = merge_delta(a_bar, b_bar, g, 0, 1)
+            direct = pooled_oracle.cluster_loglik(embs, plda.w) - g[0] - g[1]
             assert delta == pytest.approx(direct, abs=1e-10)
+            assert merge_delta(a_bar, b_bar, g, np.array([0]), np.array([1]))[0] == delta
+
+    @pytest.mark.parametrize("block", [7, clustering._PAIR_BLOCK])
+    def test_book_pair_matrix_is_scalar_calls(self, rng, monkeypatch, block):
+        """The gains `_book_trace` fills in blocks of index arrays equal
+        one scalar call per pair, bit for bit."""
+        monkeypatch.setattr(clustering, "_PAIR_BLOCK", block)
+        filled = []
+        greedy = clustering._greedy_merges
+
+        def record(score, rescore):
+            filled.append(score.copy())
+            return greedy(score, rescore)
+
+        monkeypatch.setattr(clustering, "_greedy_merges", record)
+        n, d = 30, 9
+        plda = DiagPlda(rng.uniform(0.3, 3.0, d))
+        embs = random_embeddings(rng, n, d)
+        clustering._book_trace(stack(embs), plda, 0.37)
+        a_bar, b_bar, g = segment_stats(stack(embs), plda, 0.37)
+        want = np.full((n, n), -np.inf)
+        for i in range(n):
+            for j in range(i + 1, n):
+                want[i, j] = want[j, i] = merge_delta(a_bar, b_bar, g, i, j)
+        np.testing.assert_array_equal(filled[0], want)
 
 
 class TestAhcByTheBook:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from probdiar.errors import DecompositionError, DomainError, ShapeError
-from probdiar.plda import (ClusterStats, DiagPlda, EmbeddingBatch, FullPlda,
-                           ProbEmbedding, accumulate, cluster_loglik, clustering_log_posterior,
-                           joint_diagonalize, pairwise_llr, segment_weight)
+from probdiar.plda import (DiagPlda, EmbeddingBatch, FullPlda, ProbEmbedding,
+                           _pooled_loglik, clustering_log_posterior, joint_diagonalize,
+                           pairwise_llr, segment_stats, segment_weight)
 
+from . import pooled_oracle
 from .conftest import brute_force_log_posterior
 
 
@@ -137,48 +138,58 @@ class TestSegmentWeight:
 
 
 class TestAccumulate:
+    """Per-segment statistics rows; a cluster's are the sum of its rows."""
+
     def test_empty(self):
-        stats = accumulate([], DiagPlda([1.0, 1.0]))
-        np.testing.assert_array_equal(stats.a_bar, [0.0, 0.0])
-        np.testing.assert_array_equal(stats.b_bar, [0.0, 0.0])
-        assert stats.count == 0
+        with pytest.raises(DomainError):
+            segment_stats(EmbeddingBatch(np.zeros((0, 2)), np.zeros((0, 2))),
+                          DiagPlda([1.0, 1.0]), 1.0)
 
     def test_single_segment(self):
-        stats = accumulate([ProbEmbedding([2.0], [1.0])], DiagPlda([1.0]))
-        assert stats.a_bar[0] == pytest.approx(1.0)
-        assert stats.b_bar[0] == pytest.approx(0.5)
-        assert stats.count == 1
+        a_bar, b_bar, g = segment_stats(EmbeddingBatch.stack([ProbEmbedding([2.0], [1.0])]),
+                                        DiagPlda([1.0]), 1.0)
+        assert a_bar[0, 0] == pytest.approx(1.0)
+        assert b_bar[0, 0] == pytest.approx(0.5)
+        assert g[0] == pytest.approx(0.5 * (1.0 / 1.5 - math.log(1.5)), abs=1e-12)
 
     def test_two_identical_double(self, rng):
         plda = DiagPlda(rng.uniform(0.5, 2.0, 3))
         emb = ProbEmbedding(rng.normal(size=3), rng.uniform(0.1, 2.0, 3))
-        one = accumulate([emb], plda)
-        two = accumulate([emb, emb], plda)
-        np.testing.assert_allclose(two.a_bar, 2 * one.a_bar, atol=1e-15)
-        np.testing.assert_allclose(two.b_bar, 2 * one.b_bar, atol=1e-15)
+        a_bar, b_bar, _ = segment_stats(EmbeddingBatch.stack([emb, emb]), plda, 1.0)
+        np.testing.assert_allclose(a_bar.sum(axis=0), 2 * a_bar[0], atol=1e-15)
+        np.testing.assert_allclose(b_bar.sum(axis=0), 2 * b_bar[0], atol=1e-15)
 
     def test_merge_is_addition(self, rng):
         plda = DiagPlda(rng.uniform(0.5, 2.0, 3))
         embs = [ProbEmbedding(rng.normal(size=3), rng.uniform(0.0, 2.0, 3))
                 for _ in range(5)]
-        whole = accumulate(embs, plda)
-        parts = accumulate(embs[:2], plda) + accumulate(embs[2:], plda)
-        np.testing.assert_allclose(whole.a_bar, parts.a_bar, atol=1e-12)
-        np.testing.assert_allclose(whole.b_bar, parts.b_bar, atol=1e-12)
-        assert whole.count == parts.count == 5
+        a_bar, b_bar, _ = segment_stats(EmbeddingBatch.stack(embs), plda, 1.0)
+        a_raw, b_raw = pooled_oracle.member_stats(embs, plda.w)
+        np.testing.assert_allclose(a_bar[:2].sum(axis=0) + a_bar[2:].sum(axis=0),
+                                   a_raw, atol=1e-12)
+        np.testing.assert_allclose(b_bar[:2].sum(axis=0) + b_bar[2:].sum(axis=0),
+                                   b_raw, atol=1e-12)
 
 
 class TestClusterLoglik:
+    """The pooled log-likelihood on hand values, and the oracle's on the same."""
+
+    @staticmethod
+    def both(a_bar, b_bar):
+        a_bar, b_bar = np.asarray(a_bar, dtype=float), np.asarray(b_bar, dtype=float)
+        got = float(_pooled_loglik(a_bar, b_bar))
+        assert got == pooled_oracle.stats_loglik(a_bar, b_bar)
+        return got
+
     def test_zero_stats(self):
-        assert cluster_loglik(ClusterStats.zero(4)) == 0.0
+        assert self.both(np.zeros(4), np.zeros(4)) == 0.0
 
     def test_pure_normalizer(self):
-        assert cluster_loglik(ClusterStats([0.0], [1.0])) == pytest.approx(
-            -0.5 * math.log(2.0), abs=1e-12)
+        assert self.both([0.0], [1.0]) == pytest.approx(-0.5 * math.log(2.0), abs=1e-12)
 
     def test_with_evidence(self):
-        assert cluster_loglik(ClusterStats([1.0], [1.0])) == pytest.approx(
-            0.5 * (0.5 - math.log(2.0)), abs=1e-12)
+        assert self.both([1.0], [1.0]) == pytest.approx(0.5 * (0.5 - math.log(2.0)),
+                                                        abs=1e-12)
 
 
 class TestClusteringLogPosterior:
@@ -214,6 +225,16 @@ class TestClusteringLogPosterior:
         with pytest.raises(ShapeError):
             clustering_log_posterior(embs, plda, tables_by_n[4])
 
+    def test_empty_tuple(self, tables_by_n):
+        with pytest.raises(ShapeError):
+            clustering_log_posterior([], DiagPlda(np.ones(2)), tables_by_n[2])
+
+    def test_unequal_dims(self, tables_by_n):
+        embs = [ProbEmbedding(np.zeros(2), np.zeros(2)),
+                ProbEmbedding(np.zeros(3), np.zeros(3))]
+        with pytest.raises(ShapeError):
+            clustering_log_posterior(embs, DiagPlda(np.ones(2)), tables_by_n[2])
+
 
 class TestPairwiseLlr:
     def test_closed_form(self):
@@ -234,3 +255,13 @@ class TestPairwiseLlr:
         e1 = ProbEmbedding(rng.normal(size=3), rng.uniform(0.1, 2.0, 3))
         e2 = ProbEmbedding(rng.normal(size=3), rng.uniform(0.1, 2.0, 3))
         assert pairwise_llr(e1, e2, plda) == pairwise_llr(e2, e1, plda)
+
+    def test_unequal_dims(self):
+        with pytest.raises(ShapeError):
+            pairwise_llr(ProbEmbedding(np.zeros(2), np.ones(2)),
+                         ProbEmbedding(np.zeros(3), np.ones(3)), DiagPlda(np.ones(2)))
+
+    def test_model_dim_mismatch(self):
+        emb = ProbEmbedding(np.zeros(3), np.ones(3))
+        with pytest.raises(ShapeError):
+            pairwise_llr(emb, emb, DiagPlda(np.ones(2)))
