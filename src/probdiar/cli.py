@@ -202,7 +202,8 @@ def _check(ok, what):
 
 
 def cmd_selftest(args):
-    from .plda import DiagPlda, ProbEmbedding, clustering_log_posterior
+    from .plda import (DiagPlda, EmbeddingBatch, ProbEmbedding, _pooled_loglik,
+                       clustering_log_posterior, segment_stats)
 
     rng = np.random.default_rng(args.seed)
     print("partition counts...", end=" ")
@@ -219,18 +220,15 @@ def cmd_selftest(args):
         embs = [ProbEmbedding(rng.normal(size=d), rng.uniform(0, 3, d))
                 for _ in range(n)]
         post = clustering_log_posterior(embs, plda, tables)
-        # each cluster from its members' raw statistics: evidence weights
-        # e = w*prec/(w+prec), a = sum(e*xhat), b = sum(e)
-        prec = np.stack([emb.prec for emb in embs])
-        e = plda.w * prec / (plda.w + prec)
-        ex = e * np.stack([emb.xhat for emb in embs])
+        # each cluster scored on its own from its members' summed rows
+        a_bar, b_bar, _ = segment_stats(EmbeddingBatch.stack(embs), plda, 1.0)
         direct = []
         for labels in tables.rgs:
             total = 0.0
             for k in set(labels):
                 members = [t for t in range(n) if labels[t] == k]
-                a, b = ex[members].sum(axis=0), e[members].sum(axis=0)
-                total += 0.5 * float(np.sum(a * a / (1.0 + b) - np.log1p(b)))
+                total += float(_pooled_loglik(a_bar[members].sum(axis=0),
+                                              b_bar[members].sum(axis=0)))
             direct.append(total)
         direct = np.array(direct) + tables.log_prior
         from scipy.special import logsumexp

@@ -256,10 +256,15 @@ def partition_log_posterior(g: np.ndarray, tables: PartitionTables,
 def clustering_log_posterior(embeddings, plda: DiagPlda,
                              tables: PartitionTables) -> np.ndarray:
     """Log posterior over all B_n partitions of the tuple."""
-    emb = EmbeddingBatch.stack(embeddings)
-    if emb.dim != plda.dim:
-        raise ShapeError(f"embedding dim {emb.dim} != model dim {plda.dim}")
-    g, _, _ = subset_logliks(segment_weight(plda, emb.prec), emb.xhat, tables)
+    # the embeddings are validated already; stacking them is all this needs
+    try:
+        xh = np.stack([e.xhat for e in embeddings])
+        prec = np.stack([e.prec for e in embeddings])
+    except ValueError as exc:   # no embeddings, or embeddings of unequal dims
+        raise ShapeError(f"need one or more embeddings of one dim: {exc}") from None
+    if xh.shape[1] != plda.dim:
+        raise ShapeError(f"embedding dim {xh.shape[1]} != model dim {plda.dim}")
+    g, _, _ = subset_logliks(segment_weight(plda, prec), xh, tables)
     return partition_log_posterior(g, tables)
 
 

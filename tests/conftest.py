@@ -32,7 +32,7 @@ def brute_force_log_posterior(embeddings, plda, tables):
     with the prior."""
     from scipy.special import logsumexp
 
-    from .pooled_oracle import cluster_loglik
+    from .pooled_oracle import members_loglik
 
     n = len(embeddings)
     # subset likelihood cache keyed by the frozen member set
@@ -43,7 +43,7 @@ def brute_force_log_posterior(embeddings, plda, tables):
         for k in set(labels):
             members = frozenset(t for t in range(n) if labels[t] == k)
             if members not in cache:
-                cache[members] = cluster_loglik(
+                cache[members] = members_loglik(
                     [embeddings[t] for t in sorted(members)], plda.w)
             total += cache[members]
         scores.append(total)

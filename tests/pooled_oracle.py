@@ -27,13 +27,13 @@ def stats_loglik(a, b):
     return 0.5 * float(np.sum(a * a / (1.0 + b) - np.log1p(b)))
 
 
-def cluster_loglik(members, w, scale=1.0):
+def members_loglik(members, w, scale=1.0):
     """Log-likelihood of the cluster of `members`."""
     return stats_loglik(*member_stats(members, w, scale))
 
 
 def partition_loglik(labels, embeddings, w, scale=1.0):
     """Total log-likelihood of a labelling of `embeddings`."""
-    return sum(cluster_loglik([embeddings[t] for t in range(len(labels))
+    return sum(members_loglik([embeddings[t] for t in range(len(labels))
                                if labels[t] == k], w, scale)
                for k in set(labels))

@@ -20,7 +20,7 @@ from probdiar.errors import CalibrationError, DomainError
 from probdiar.partitions import canonicalize, enumerate_rgs
 from probdiar.plda import DiagPlda, EmbeddingBatch, ProbEmbedding, pairwise_llr, segment_stats
 
-from . import pooled_oracle
+from . import ahc_loop, pooled_oracle
 from .ahc_loop import loop_baseline_trace, loop_book_trace
 
 stack = EmbeddingBatch.stack
@@ -31,11 +31,6 @@ SIGMA_GRID = (-20, -15, -10, -7, -5, -3, -2, -1, 0, 1, 2, 3, 5, 10, 20)
 def random_embeddings(rng, n, d=4):
     return [ProbEmbedding(rng.normal(size=d), rng.uniform(0, 3, d))
             for _ in range(n)]
-
-
-def partition_loglik(labels, embeddings, plda, scale=1.0):
-    """Independent total log-likelihood of a labeling, from raw embeddings."""
-    return pooled_oracle.partition_loglik(labels, embeddings, plda.w, scale)
 
 
 class TestMergeDelta:
@@ -59,36 +54,12 @@ class TestMergeDelta:
             a_bar, b_bar, _ = segment_stats(stack(embs), plda, 1.0)
             a_bar = np.stack([a_bar[:3].sum(axis=0), a_bar[3:].sum(axis=0)])
             b_bar = np.stack([b_bar[:3].sum(axis=0), b_bar[3:].sum(axis=0)])
-            g = np.array([pooled_oracle.cluster_loglik(left, plda.w),
-                          pooled_oracle.cluster_loglik(right, plda.w)])
+            g = np.array([pooled_oracle.members_loglik(left, plda.w),
+                          pooled_oracle.members_loglik(right, plda.w)])
             delta = merge_delta(a_bar, b_bar, g, 0, 1)
-            direct = pooled_oracle.cluster_loglik(embs, plda.w) - g[0] - g[1]
+            direct = pooled_oracle.members_loglik(embs, plda.w) - g[0] - g[1]
             assert delta == pytest.approx(direct, abs=1e-10)
             assert merge_delta(a_bar, b_bar, g, np.array([0]), np.array([1]))[0] == delta
-
-    @pytest.mark.parametrize("block", [7, clustering._PAIR_BLOCK])
-    def test_book_pair_matrix_is_scalar_calls(self, rng, monkeypatch, block):
-        """The gains `_book_trace` fills in blocks of index arrays equal
-        one scalar call per pair, bit for bit."""
-        monkeypatch.setattr(clustering, "_PAIR_BLOCK", block)
-        filled = []
-        greedy = clustering._greedy_merges
-
-        def record(score, rescore):
-            filled.append(score.copy())
-            return greedy(score, rescore)
-
-        monkeypatch.setattr(clustering, "_greedy_merges", record)
-        n, d = 30, 9
-        plda = DiagPlda(rng.uniform(0.3, 3.0, d))
-        embs = random_embeddings(rng, n, d)
-        clustering._book_trace(stack(embs), plda, 0.37)
-        a_bar, b_bar, g = segment_stats(stack(embs), plda, 0.37)
-        want = np.full((n, n), -np.inf)
-        for i in range(n):
-            for j in range(i + 1, n):
-                want[i, j] = want[j, i] = merge_delta(a_bar, b_bar, g, i, j)
-        np.testing.assert_array_equal(filled[0], want)
 
 
 class TestAhcByTheBook:
@@ -119,8 +90,8 @@ class TestAhcByTheBook:
             labels = ahc_by_the_book(stack(embs), plda, AhcConfig(sigma=0.0))
             # replay: labels must be reachable by positive-gain merges, and
             # the final likelihood must beat all-singletons
-            singletons = partition_loglik(tuple(range(1, 8)), embs, plda)
-            final = partition_loglik(labels, embs, plda)
+            singletons = pooled_oracle.partition_loglik(tuple(range(1, 8)), embs, plda.w)
+            final = pooled_oracle.partition_loglik(labels, embs, plda.w)
             assert final >= singletons - 1e-12
             if max(labels) < 7:
                 assert final > singletons
@@ -130,8 +101,8 @@ class TestAhcByTheBook:
         for _ in range(10):
             embs = random_embeddings(rng, 6)
             labels = ahc_by_the_book(stack(embs), plda, AhcConfig(sigma=0.0))
-            best = max(partition_loglik(p, embs, plda) for p in enumerate_rgs(6))
-            assert partition_loglik(labels, embs, plda) <= best + 1e-10
+            best = max(pooled_oracle.partition_loglik(p, embs, plda.w) for p in enumerate_rgs(6))
+            assert pooled_oracle.partition_loglik(labels, embs, plda.w) <= best + 1e-10
 
     def test_positive_sigma_merges_less(self, rng):
         plda = DiagPlda(rng.uniform(0.5, 2.0, 4))
@@ -146,9 +117,9 @@ class TestAhcByTheBook:
         labels = ahc_by_the_book(stack(embs), plda,
                                  AhcConfig(sigma=0.0, likelihood_scale=0.3))
         # the scaled search still never beats the scaled exhaustive optimum
-        best = max(partition_loglik(p, embs, plda, scale=0.3)
+        best = max(pooled_oracle.partition_loglik(p, embs, plda.w, scale=0.3)
                    for p in enumerate_rgs(6))
-        assert partition_loglik(labels, embs, plda, scale=0.3) <= best + 1e-10
+        assert pooled_oracle.partition_loglik(labels, embs, plda.w, scale=0.3) <= best + 1e-10
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -423,13 +394,26 @@ class TestVectorizedEngine:
 
     @pytest.mark.parametrize("block", [1, 7, 100])
     def test_blocked_fill_matches_loop(self, rng, monkeypatch, block):
-        """Pair blocks that end mid-row leave every record unchanged."""
+        """Pair blocks that end mid-row leave every record unchanged, and the
+        book engine fills its first pair gains bit for bit as the loop's
+        scalar `merge_delta` calls do."""
         monkeypatch.setattr(clustering, "_PAIR_BLOCK", block)
+        filled = []
+        greedy = clustering._greedy_merges
+
+        def record(score, rescore):
+            filled.append(score.copy())
+            return greedy(score, rescore)
+
+        monkeypatch.setattr(clustering, "_greedy_merges", record)
+        monkeypatch.setattr(ahc_loop, "_greedy_merges", record)
         for n in (2, 17, 40):
             plda = DiagPlda(rng.uniform(0.3, 3.0, 9))
             embs = self.recording(rng, n, 9, duplicated=n > 10)
+            filled.clear()
             got = merge_trace(stack(embs), plda, AhcConfig(likelihood_scale=0.37))
             assert list(got) == list(loop_book_trace(embs, plda, 0.37))
+            np.testing.assert_array_equal(filled[0], filled[1])
             got = merge_trace(stack(embs), plda, AhcConfig(mode="baseline"))
             want = loop_baseline_trace(embs, plda)
             assert list(got) == list(want)

@@ -156,8 +156,9 @@ class TestAccumulate:
         plda = DiagPlda(rng.uniform(0.5, 2.0, 3))
         emb = ProbEmbedding(rng.normal(size=3), rng.uniform(0.1, 2.0, 3))
         a_bar, b_bar, _ = segment_stats(EmbeddingBatch.stack([emb, emb]), plda, 1.0)
-        np.testing.assert_allclose(a_bar.sum(axis=0), 2 * a_bar[0], atol=1e-15)
-        np.testing.assert_allclose(b_bar.sum(axis=0), 2 * b_bar[0], atol=1e-15)
+        a_one, b_one = pooled_oracle.member_stats([emb], plda.w)
+        np.testing.assert_allclose(a_bar.sum(axis=0), 2 * a_one, atol=1e-15)
+        np.testing.assert_allclose(b_bar.sum(axis=0), 2 * b_one, atol=1e-15)
 
     def test_merge_is_addition(self, rng):
         plda = DiagPlda(rng.uniform(0.5, 2.0, 3))
