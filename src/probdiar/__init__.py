@@ -14,5 +14,5 @@ from .partitions import (CrpParams, PartitionTables, bell_number, build_tables,
 from .plda import (DiagPlda, EmbeddingBatch, FullPlda, ProbEmbedding,
                    clustering_log_posterior, joint_diagonalize, pairwise_llr,
                    segment_weight)
-from .training import (GradientSet, OctetTrial, TrainConfig, cross_entropy,
-                       finite_difference_check, gradients, sample_octets, train)
+from .training import (OctetTrial, TrainConfig, cross_entropy, finite_difference_check,
+                       gradients, sample_octets, train)

@@ -154,7 +154,7 @@ def cmd_diarize(args):
     cfg = AhcConfig(mode=_MODES[args.mode], sigma=args.sigma,
                     likelihood_scale=args.scale)
     hyps = diarize_corpus(recordings, model, plda, cfg)
-    write_rttm(args.out, hyps)
+    write_rttm(args.out, hyps.values())
     print(f"wrote {len(hyps)} recordings to {args.out}")
     return 0
 
@@ -283,10 +283,10 @@ def build_parser():
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn, subparser=p)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=0)
         return p
 
     p = add("simulate", cmd_simulate, help="generate a synthetic corpus")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--rttm", help="also write the reference RTTM here")
     p.add_argument("--dim", type=int, default=8)
@@ -296,6 +296,7 @@ def build_parser():
     p.add_argument("--max-speakers", type=int, default=4)
 
     p = add("train", cmd_train, help="train extractor and PLDA on a corpus")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--history", help="loss history table output")
@@ -337,7 +338,8 @@ def build_parser():
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--scale", type=float, default=1.0)
 
-    add("selftest", cmd_selftest, help="gradient check and scoring equivalence")
+    p = add("selftest", cmd_selftest, help="gradient check and scoring equivalence")
+    p.add_argument("--seed", type=int, default=0)
     # required options may come from --config, so _apply_config checks them
     for p in sub.choices.values():
         required = [a for a in p._actions if a.required]

@@ -48,8 +48,8 @@ class AhcConfig:
     def __post_init__(self):
         if self.mode not in ("baseline", "by_the_book"):
             raise DomainError(f"unknown AHC mode {self.mode!r}")
-        if not self.likelihood_scale > 0:
-            raise DomainError("likelihood_scale must be positive")
+        if not 0 < self.likelihood_scale < np.inf:
+            raise DomainError("likelihood_scale must be positive and finite")
         _check_sigma(self.sigma)
 
 
@@ -254,8 +254,6 @@ def ahc_baseline(emb: EmbeddingBatch, plda: DiagPlda,
     similarity falls below the unsupervised-calibration threshold plus the
     cfg.sigma offset.
     """
-    if len(emb) < 2:
-        raise DomainError("baseline AHC needs at least two segments")
     return cut(_baseline_trace(emb, plda), cfg.sigma)
 
 
@@ -268,9 +266,7 @@ def merge_trace(emb: EmbeddingBatch, plda: DiagPlda, cfg: AhcConfig) -> MergeTra
 
 
 def ahc(emb: EmbeddingBatch, plda: DiagPlda, cfg: AhcConfig) -> tuple[int, ...]:
-    """Dispatch on cfg.mode; single segments short-circuit to one cluster."""
-    if len(emb) == 1:
-        return (1,)
+    """Dispatch on cfg.mode."""
     if cfg.mode == "baseline":
         return ahc_baseline(emb, plda, cfg)
     return ahc_by_the_book(emb, plda, cfg)

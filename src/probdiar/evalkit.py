@@ -98,10 +98,8 @@ def read_rttm(path) -> dict[str, Timeline]:
 
 
 def write_rttm(path, timelines):
-    """Write timelines (iterable or dict of Timeline) as RTTM, 3-decimal times,
-    sorted by recording id then onset."""
-    if isinstance(timelines, dict):
-        timelines = timelines.values()
+    """Write an iterable of Timeline as RTTM, 3-decimal times, sorted by
+    recording id then onset."""
     with open(path, "w") as fh:
         for tl in sorted(timelines, key=lambda t: t.rec_id):
             for turn in sorted(tl.turns, key=lambda t: (t.start, t.speaker)):
@@ -215,11 +213,11 @@ def der(ref: Timeline, hyp: Timeline, collar: float = 0.0, exact: bool = False) 
     return _report(ref.rec_id, dur, _reference_terms(dur, ref_on), hyp_on)
 
 
-def relabel_scorer(ref: Timeline, collar: float = 0.0, exact: bool = False):
-    """`score(speakers)`, the report of `der(ref, hyp, collar, exact)` for the
-    hypothesis with ref's turns, where turn k is spoken by speakers[k].
-    A labelling of another length than ref's turns is a `ShapeError`."""
-    dur, mid = _scored_pieces(ref, ref, collar, exact)
+def relabel_scorer(ref: Timeline):
+    """`score(speakers)`, the report of `der(ref, hyp)` for the hypothesis
+    with ref's turns, where turn k is spoken by speakers[k].  A labelling
+    of another length than ref's turns is a `ShapeError`."""
+    dur, mid = _scored_pieces(ref, ref, collar=0.0, exact=False)
     dur, (ranges,) = _atoms(dur, _turn_ranges(ref.turns, mid))
     terms = _reference_terms(dur, _activity(ranges, [t.speaker for t in ref.turns],
                                             dur.size))

@@ -30,6 +30,8 @@ INIT_W2_STD = 1e-3
 INIT_MARGIN_SAFETY = 1.05
 # noise on the synthetic quality encoding of log sigma^2
 QUALITY_NOISE_STD = 0.05
+# bounds of the uniform synthetic segment durations, in seconds
+DURATION_BOUNDS = (0.5, 2.0)
 
 
 def softplus(z):
@@ -173,7 +175,6 @@ class SyntheticConfig:
     min_speakers: int = 2
     max_speakers: int = 4
     log_noise_var_range: tuple = (-4.0, 2.5)   # log sigma^2(q), uniform
-    duration_range: tuple = (0.5, 2.0)
     within_scale: float = 0.3       # within-speaker vs unit between-speaker spread
     holdout_fraction: float = 0.25  # recordings reserved as a held-out split
     seed: int = 0
@@ -316,7 +317,7 @@ def generate_corpus(cfg: SyntheticConfig) -> Corpus:
 
         log_var = rrng.uniform(*cfg.log_noise_var_range, size=n_seg)
         sigma = np.exp(0.5 * log_var)
-        durations = rrng.uniform(*cfg.duration_range, size=n_seg)
+        durations = rrng.uniform(*DURATION_BOUNDS, size=n_seg)
 
         records = []
         starts = []

@@ -96,8 +96,6 @@ def crp_log_prob(labels, params: CrpParams) -> float:
     probability (alpha + K*d)/(alpha + t) and joins cluster k of size n_k with
     probability (n_k - d)/(alpha + t).
     """
-    if not isinstance(params, CrpParams):
-        params = CrpParams(*params)
     alpha, d = params.concentration, params.discount
     counts: dict = {}
     logp = 0.0
@@ -124,7 +122,6 @@ class PartitionTables:
     n: int
     rgs: tuple[tuple[int, ...], ...]
     log_prior: np.ndarray
-    prior: CrpParams
     seg_subset: np.ndarray = field(repr=False)
     part_subset: sp.csr_matrix = field(repr=False)
     index: dict = field(repr=False)
@@ -177,7 +174,6 @@ def build_tables(n: int, prior: CrpParams) -> PartitionTables:
         n=n,
         rgs=tuple(rgs),
         log_prior=log_prior,
-        prior=prior,
         seg_subset=seg_subset,
         part_subset=part_subset,
         index={labels: r for r, labels in enumerate(rgs)},

@@ -38,12 +38,11 @@ def diarize_corpus(recordings, model: ExtractorModel, plda: DiagPlda,
     return {tl.rec_id: tl for tl in sorted(results, key=lambda t: t.rec_id)}
 
 
-def evaluate(recordings, model: ExtractorModel, plda: DiagPlda, cfg: AhcConfig,
-             collar: float = 0.0) -> DerReport:
+def evaluate(recordings, model: ExtractorModel, plda: DiagPlda,
+             cfg: AhcConfig) -> DerReport:
     """Diarize and score a set of recordings; returns the aggregate report."""
     hyps = diarize_corpus(recordings, model, plda, cfg)
-    reports = [der(reference_timeline(rec), hyps[rec.rec_id], collar=collar)
-               for rec in recordings]
+    reports = [der(reference_timeline(rec), hyps[rec.rec_id]) for rec in recordings]
     return aggregate_der(reports)
 
 

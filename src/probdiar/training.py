@@ -62,23 +62,6 @@ class TrainConfig:
             raise DomainError("batch_size, n and epochs out of range")
 
 
-@dataclass(frozen=True)
-class GradientSet:
-    """Gradients for every trainable parameter group.  The within-speaker
-    precision is parameterized as exp(log_w) so positivity is unconstrained."""
-
-    log_w: np.ndarray
-    A: np.ndarray
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-
-    def groups(self):
-        return {"log_w": self.log_w, "A": self.A, "W1": self.W1,
-                "b1": self.b1, "W2": self.W2, "b2": self.b2}
-
-
 def sample_octets(recordings, n: int, rng):
     """Infinite stream of random n-tuples, each drawn without replacement from
     the segments of one of the recordings (any iterable of `Recording`, such
@@ -236,7 +219,8 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
     d_W1 = np.einsum("bth,btq->hq", d_z1, quality)
     d_b1 = np.sum(d_z1, axis=(0, 1))
 
-    return loss, GradientSet(log_w=d_log_w, A=d_A, W1=d_W1, b1=d_b1, W2=d_W2, b2=d_b2)
+    return loss, {"log_w": d_log_w, "A": d_A, "W1": d_W1, "b1": d_b1,
+                  "W2": d_W2, "b2": d_b2}
 
 
 def cross_entropy(batch, model: ExtractorModel, plda: DiagPlda,
@@ -248,8 +232,9 @@ def cross_entropy(batch, model: ExtractorModel, plda: DiagPlda,
 
 
 def gradients(batch, model: ExtractorModel, plda: DiagPlda,
-              tables: PartitionTables) -> GradientSet:
-    """Analytic gradient of the batch cross-entropy for all parameter groups."""
+              tables: PartitionTables) -> dict:
+    """Analytic gradient of the batch cross-entropy by parameter group, keyed
+    as `_get_params` keys them (the PLDA's w as log_w, so it stays positive)."""
     raw, quality, truth = _batch_arrays(batch, tables)
     _, grads = _forward_backward(raw, quality, truth, model, plda, tables, True)
     return grads
@@ -267,8 +252,7 @@ def _set_params(params) -> tuple[ExtractorModel, DiagPlda]:
 
 
 def finite_difference_check(batch, model: ExtractorModel, plda: DiagPlda,
-                            tables: PartitionTables, step: float = 1e-3,
-                            floor: float = 1e-6, scale_floor: bool = False) -> float:
+                            tables: PartitionTables, scale_floor: bool = False) -> float:
     """Max relative error between analytic and central finite-difference
     gradients over every parameter of every group.
 
@@ -277,22 +261,23 @@ def finite_difference_check(batch, model: ExtractorModel, plda: DiagPlda,
     round-off (loss values of order 10-100 make a plain two-point stencil at
     a tiny step noisier than 1e-5 relative on small gradient components).
 
-    The relative-error denominator is max(|analytic|, |numeric|, floor).  With
-    scale_floor the floor is raised to a fraction of the largest gradient
-    magnitude, so that components whose true gradient sits at the
-    finite-difference noise level (e.g. at a saturated initialization) do not
-    dominate the reported error.
+    The step is 1e-3 and the relative-error denominator max(|analytic|,
+    |numeric|, floor), floor 1e-6.  With scale_floor the floor is raised to a
+    fraction of the largest gradient magnitude, so that components whose true
+    gradient sits at the finite-difference noise level (e.g. at a saturated
+    initialization) do not dominate the reported error.
     """
     raw, quality, truth = _batch_arrays(batch, tables)
     ws = _Workspace(tables, plda.dim, len(batch))
     _, grads = _forward_backward(raw, quality, truth, model, plda, tables, True, ws)
     params = _get_params(model, plda)
+    step, floor = 1e-3, 1e-6
     if scale_floor:
-        gmax = max(float(np.max(np.abs(g))) for g in grads.groups().values())
+        gmax = max(float(np.max(np.abs(g))) for g in grads.values())
         floor = max(floor, 1e-4 * gmax)
     worst = 0.0
     for name, arr in params.items():
-        garr = grads.groups()[name]
+        garr = grads[name]
         flat = arr.reshape(-1).copy()
         for i in range(flat.size):
             orig = flat[i]
@@ -335,7 +320,9 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
           tables: PartitionTables | None = None) -> TrainResult:
     """Plain SGD on the octet cross-entropy with two learning-rate groups:
     the precision net at lr_net, the transform and PLDA at lr_net * lr_ratio.
-    Without `init`, the model starts from `init_extractor(corpus.full_plda)`.
+    Without `init`, the model starts from `init_extractor(corpus.full_plda)`;
+    without `tables`, they are built for cfg.n under cfg.crp (fitted to the
+    corpus when None).
 
     Deterministic given cfg.seed.  Raises TrainingError (carrying the last
     finite checkpoint) if the loss becomes non-finite.
@@ -344,6 +331,11 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
     heldout_recs = corpus.heldout_recordings
     if not train_recs:
         raise DataError("corpus has no training recordings")
+    if tables is None:
+        crp = cfg.crp if cfg.crp is not None else fit_corpus_crp(corpus)
+        tables = build_tables(cfg.n, crp)
+    elif tables.n != cfg.n:
+        raise ShapeError(f"tables are for {tables.n}-tuples, but cfg.n is {cfg.n}")
 
     if init is not None:
         model, plda = init
@@ -351,10 +343,6 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
         model, plda = init_extractor(
             corpus.full_plda, seed=cfg.seed, margin=cfg.margin,
             quality_dim=train_recs[0].records[0].quality.shape[0])
-
-    crp = cfg.crp if cfg.crp is not None else fit_corpus_crp(corpus)
-    if tables is None:
-        tables = build_tables(cfg.n, crp)
 
     root = np.random.SeedSequence(cfg.seed)
     ss_sampler, ss_heldout, ss_check = root.spawn(3)
@@ -409,7 +397,7 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
                 raise TrainingError(f"loss diverged at epoch {epoch}", checkpoint=chk)
             epoch_losses.append(loss)
             last_good = {k: v.copy() for k, v in params.items()}
-            for name, grad in grads.groups().items():
+            for name, grad in grads.items():
                 if name in frozen:
                     continue
                 lr = cfg.lr_net * (cfg.lr_ratio if name in slow else 1.0)

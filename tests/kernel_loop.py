@@ -11,7 +11,6 @@ from scipy.special import expit
 from probdiar.extractor import ExtractorModel, softplus
 from probdiar.partitions import PartitionTables
 from probdiar.plda import DiagPlda, partition_log_posterior, segment_weight, subset_logliks
-from probdiar.training import GradientSet
 
 
 def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda,
@@ -66,4 +65,5 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
     d_W1 = np.einsum("bth,btq->hq", d_z1, quality)
     d_b1 = np.sum(d_z1, axis=(0, 1))
 
-    return loss, GradientSet(log_w=d_log_w, A=d_A, W1=d_W1, b1=d_b1, W2=d_W2, b2=d_b2)
+    return loss, {"log_w": d_log_w, "A": d_A, "W1": d_W1, "b1": d_b1,
+                  "W2": d_W2, "b2": d_b2}

@@ -88,6 +88,11 @@ class TestDiarize:
                     "--mode", "book", "--sigma", "0"]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1 and lines[0].split()[1] == "solo"
+        # the baseline too: one segment is one cluster in either mode
+        assert run(["diarize", "--corpus", str(corpus),
+                    "--model", str(workdir / "model.txt"), "--out", str(out),
+                    "--mode", "baseline"]) == 0
+        assert out.read_text().splitlines() == lines
 
     def test_baseline_mode(self, workdir, tmp_path):
         out = tmp_path / "hyp.rttm"
@@ -102,6 +107,13 @@ class TestDiarize:
                     "--model", str(workdir / "model.txt"),
                     "--out", str(tmp_path / "h.rttm"), "--sigma", "nan"]) == 3
         assert "[numeric] sigma must not be NaN" in capsys.readouterr().err
+        assert not (tmp_path / "h.rttm").exists()
+
+    def test_infinite_scale_is_numeric_error(self, workdir, tmp_path, capsys):
+        assert run(["diarize", "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(workdir / "model.txt"),
+                    "--out", str(tmp_path / "h.rttm"), "--scale", "inf"]) == 3
+        assert "[numeric] likelihood_scale" in capsys.readouterr().err
         assert not (tmp_path / "h.rttm").exists()
 
 
@@ -175,6 +187,14 @@ class TestSweep:
         assert "[numeric] sigma must not be NaN" in captured.err
         assert captured.out == ""
 
+    def test_infinite_scale_value_is_numeric_error(self, workdir, capsys):
+        assert run(["sweep", "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(workdir / "model.txt"),
+                    "--param", "scale", "--values=1,inf"]) == 3
+        captured = capsys.readouterr()
+        assert "[numeric] likelihood_scale" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("values", ["1,abc", "1,,2"])
     def test_bad_values_flag_is_usage_error(self, workdir, capsys, values):
         assert run(["sweep", "--corpus", str(workdir / "corpus.tsv"),
@@ -201,6 +221,25 @@ class TestConfigFile:
                     "--model", str(workdir / "model.txt"),
                     "--out", str(tmp_path / "h.rttm")]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["diarize", "score", "sweep"])
+    def test_seed_only_where_it_is_read(self, workdir, tmp_path, capsys, command):
+        """`diarize`, `score` and `sweep` draw no random numbers: `--seed` is
+        an unknown flag there, and a seed line an unknown config key."""
+        required = {"diarize": ["--corpus", str(workdir / "corpus.tsv"),
+                                "--model", str(workdir / "model.txt"),
+                                "--out", str(tmp_path / "h.rttm")],
+                    "score": ["--ref", str(workdir / "ref.rttm"),
+                              "--hyp", str(workdir / "ref.rttm")],
+                    "sweep": ["--corpus", str(workdir / "corpus.tsv"),
+                              "--model", str(workdir / "model.txt"),
+                              "--param", "sigma", "--values=0"]}[command]
+        assert run([command, "--seed", "1"] + required) == 1
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("seed = 1\n")
+        assert run([command, "--config", str(cfg)] + required) == 2
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "h.rttm").exists()
 
     def test_explicit_flag_wins(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "opts.cfg"

@@ -16,7 +16,7 @@ from probdiar import clustering
 from probdiar.clustering import (PLUGIN_PREC_FACTOR, AhcConfig, ahc, ahc_baseline,
                                  ahc_by_the_book, cut, cuts, merge_delta, merge_trace,
                                  unsupervised_calibration)
-from probdiar.errors import CalibrationError, DomainError
+from probdiar.errors import CalibrationError, DomainError, ShapeError
 from probdiar.partitions import canonicalize, enumerate_rgs
 from probdiar.plda import DiagPlda, EmbeddingBatch, ProbEmbedding, pairwise_llr, segment_stats
 
@@ -64,9 +64,12 @@ class TestMergeDelta:
 
 class TestAhcByTheBook:
     def test_single_segment(self):
-        plda = DiagPlda(np.ones(2))
-        assert ahc(stack([ProbEmbedding(np.zeros(2), np.ones(2))]), plda,
-                   AhcConfig()) == (1,)
+        """One segment is one cluster; its dim is checked as for any batch."""
+        plda, cfg = DiagPlda(np.ones(2)), AhcConfig()
+        one = stack([ProbEmbedding(np.zeros(2), np.ones(2))])
+        assert ahc(one, plda, cfg) == ahc_by_the_book(one, plda, cfg) == (1,)
+        with pytest.raises(ShapeError):
+            ahc(stack([ProbEmbedding(np.zeros(3), np.ones(3))]), plda, cfg)
 
     def test_no_evidence_no_merge(self):
         plda = DiagPlda(np.ones(2))
@@ -200,18 +203,22 @@ class TestAhcBaseline:
                     raw[t] = k + 1
             assert got == canonicalize(raw)
 
-    def test_needs_two_segments(self):
-        with pytest.raises(DomainError):
-            ahc_baseline(stack([ProbEmbedding(np.zeros(2), np.zeros(2))]),
-                         DiagPlda(np.ones(2)), AhcConfig(mode="baseline"))
+    def test_single_segment(self):
+        """One segment is one cluster, as in book mode."""
+        plda, cfg = DiagPlda(np.ones(2)), AhcConfig(mode="baseline")
+        one = stack([ProbEmbedding(np.zeros(2), np.zeros(2))])
+        assert ahc(one, plda, cfg) == ahc_baseline(one, plda, cfg) == (1,)
+        with pytest.raises(ShapeError):
+            ahc(stack([ProbEmbedding(np.zeros(3), np.zeros(3))]), plda, cfg)
 
 
 class TestAhcDispatch:
     def test_mode_validation(self):
         with pytest.raises(DomainError):
             AhcConfig(mode="other")
-        with pytest.raises(DomainError):
-            AhcConfig(likelihood_scale=0.0)
+        for scale in (0.0, np.inf, np.nan):
+            with pytest.raises(DomainError, match="likelihood_scale"):
+                AhcConfig(likelihood_scale=scale)
 
     def test_nan_sigma_rejected(self, rng):
         """NaN compares with no score: book AHC would merge nothing and the

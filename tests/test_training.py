@@ -12,7 +12,7 @@ import pytest
 from scipy.special import expit, logsumexp
 
 import probdiar as pd
-from probdiar.errors import DataError, DomainError, TrainingError
+from probdiar.errors import DataError, DomainError, ShapeError, TrainingError
 from probdiar.extractor import (Corpus, ExtractorModel, PrecisionNet, Recording,
                                 SegmentRecord, softplus)
 from probdiar.io import load_corpus, save_corpus
@@ -160,7 +160,7 @@ class TestGradients:
                                    duration=1.0) for _ in range(3))
         batch = [OctetTrial(records=recs, truth=(1, 1, 1))]
         g = gradients(batch, model, plda, tables)
-        norm = max(np.abs(v).max() for v in g.groups().values())
+        norm = max(np.abs(v).max() for v in g.values())
         assert norm < 1e-8
 
     def test_dead_dimension_has_zero_transform_gradient(self, tables_by_n, rng):
@@ -175,7 +175,7 @@ class TestGradients:
         dead = ExtractorModel(A=model.A, net=PrecisionNet(
             W1=model.net.W1, b1=model.net.b1, W2=w2, b2=b2))
         g = gradients(random_batch(rng, 4, 3), dead, plda, tables)
-        np.testing.assert_array_equal(g.A[1], np.zeros(4))
+        np.testing.assert_array_equal(g["A"][1], np.zeros(4))
 
 
 def reference_forward_backward(raw, quality, truth, model, plda, tables):
@@ -220,12 +220,13 @@ def reference_forward_backward(raw, quality, truth, model, plda, tables):
 
 
 def assert_same_bits(got, want):
-    """(loss, GradientSet or None) pairs are equal, not just close."""
+    """(loss, gradients by group or None) pairs are equal, not just close."""
     assert got[0] == want[0]
     assert (got[1] is None) == (want[1] is None)
     if want[1] is not None:
-        for name, arr in want[1].groups().items():
-            np.testing.assert_array_equal(got[1].groups()[name], arr, err_msg=name)
+        assert got[1].keys() == want[1].keys()
+        for name, arr in want[1].items():
+            np.testing.assert_array_equal(got[1][name], arr, err_msg=name)
 
 
 def blocked_octets(corpus, margin):
@@ -263,7 +264,8 @@ class TestKernel:
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         assert _forward_backward(raw, quality, truth, model, plda, tables,
                                  False)[0] == loss
-        for name, got in grads.groups().items():
+        assert list(grads) == list(_get_params(model, plda))
+        for name, got in grads.items():
             want = ref_grads[name]
             scale = np.max(np.abs(want))
             assert scale > 0
@@ -409,6 +411,20 @@ class TestTrain:
         with pytest.raises(TrainingError) as exc_info:
             train(cfg, small_corpus)
         assert exc_info.value.checkpoint is not None
+
+    def test_tables_of_another_n_rejected(self, small_corpus, tables_by_n):
+        with pytest.raises(ShapeError, match="6-tuples, but cfg.n is 8"):
+            train(TrainConfig(epochs=1), small_corpus, tables=tables_by_n[6])
+
+    def test_given_tables_fit_no_prior(self, small_corpus, tables_by_n, monkeypatch):
+        """Tables passed in carry their prior: the corpus is not fitted."""
+        def no_fit(_):
+            raise AssertionError("fit_corpus_crp called")
+        monkeypatch.setattr(pd.training, "fit_corpus_crp", no_fit)
+        result = train(TrainConfig(epochs=1, n=4), small_corpus, tables=tables_by_n[4])
+        assert len(result.history) == 1
+        with pytest.raises(AssertionError, match="fit_corpus_crp"):
+            train(TrainConfig(epochs=1, n=4), small_corpus)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
