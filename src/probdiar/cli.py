@@ -23,19 +23,25 @@ from .extractor import Corpus, SyntheticConfig, estimate_full_plda, generate_cor
 from .io import (MODEL_FORMAT_VERSION, load_corpus, load_model, save_corpus,
                  save_history, save_model)
 from .partitions import CrpParams, build_tables, enumerate_rgs
-from .pipeline import diarize_corpus, evaluate, reference_timeline, sweep, sweep_table
+from .pipeline import diarize_corpus, reference_timeline, sweep, sweep_table
 from .training import (TrainConfig, finite_difference_check, sample_octets,
                        train)
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 1, 2, 3
 
 _MODES = {"baseline": "baseline", "book": "by_the_book"}
+_BOOLEANS = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}
 
 
-def _read_config(path, parser):
-    """Flat key=value file; keys must be known option dests."""
-    known = {a.dest for a in parser._actions}
-    values = {}
+def _config_flags(path, parser):
+    """The flags that a flat key=value config file stands for: `--key=value`,
+    the bare flag for a true boolean and nothing for a false one, the last
+    line of a key winning.  Keys must be options of `parser` other than
+    help and config, and every value must convert as its flag converts it."""
+    actions = {a.dest: a for a in parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    flags = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -45,60 +51,26 @@ def _read_config(path, parser):
                 raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in known:
+            action = actions.get(key)
+            if action is None:
                 raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = val
-    return values
-
-
-_BOOLEANS = {"true": True, "yes": True, "1": True,
-             "false": False, "no": False, "0": False}
-_UNSET = object()
-
-
-def _explicit_dests(parser, argv):
-    """Dests of the options that argv gives, whatever their values."""
-    probe = argparse.Namespace(**{a.dest: _UNSET for a in parser._actions})
-    parser.parse_args(argv, probe)
-    return {a.dest for a in parser._actions if getattr(probe, a.dest) is not _UNSET}
-
-
-def _config_value(action, val, path):
-    """A config-file string converted as its option's flag would convert it."""
-    key = action.dest
-    if isinstance(action, argparse._StoreTrueAction):
-        if val.lower() not in _BOOLEANS:
-            raise DataError(f"{path}: {key} expects true/false/yes/no/1/0, got {val!r}")
-        return _BOOLEANS[val.lower()]
-    try:
-        value = (action.type or str)(val)
-    except (TypeError, ValueError):
-        raise DataError(f"{path}: {key} expects {action.type.__name__}, "
-                        f"got {val!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise DataError(f"{path}: {key} expects one of "
-                        f"{', '.join(map(str, action.choices))}, got {val!r}")
-    return value
-
-
-def _apply_config(args, parser, argv=()):
-    """Fill options from the --config file; the flags in `argv` (the
-    subcommand's arguments) win over file values, even when they equal the
-    option's default.  Every file value is validated, also one a flag
-    overrides.  A required option that neither gives is a usage error."""
-    if getattr(args, "config", None):
-        file_vals = _read_config(args.config, parser)
-        explicit = _explicit_dests(parser, argv) if argv else set()
-        for key, val in file_vals.items():
-            action = next(a for a in parser._actions if a.dest == key)
-            value = _config_value(action, val, args.config)
-            if key not in explicit:
-                setattr(args, key, value)
-    missing = [a.option_strings[0] for a in parser._actions
-               if a.dest in args.required and getattr(args, a.dest) is None]
-    if missing:
-        parser.error(f"the following arguments are required: {', '.join(missing)}")
-    return args
+            flag = action.option_strings[0]
+            if isinstance(action, argparse._StoreTrueAction):
+                if val.lower() not in _BOOLEANS:
+                    raise DataError(f"{path}: {key} expects true/false/yes/no/1/0, "
+                                    f"got {val!r}")
+                flags[key] = flag if _BOOLEANS[val.lower()] else None
+                continue
+            try:
+                value = (action.type or str)(val)
+            except (TypeError, ValueError):
+                raise DataError(f"{path}: {key} expects {action.type.__name__}, "
+                                f"got {val!r}") from None
+            if action.choices is not None and value not in action.choices:
+                raise DataError(f"{path}: {key} expects one of "
+                                f"{', '.join(map(str, action.choices))}, got {val!r}")
+            flags[key] = f"{flag}={val}"
+    return [flag for flag in flags.values() if flag]
 
 
 def float_list(text):
@@ -277,7 +249,7 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version=f"probdiar {__version__} "
                                 f"(model format v{MODEL_FORMAT_VERSION})")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
@@ -340,12 +312,13 @@ def build_parser():
 
     p = add("selftest", cmd_selftest, help="gradient check and scoring equivalence")
     p.add_argument("--seed", type=int, default=0)
-    # required options may come from --config, so _apply_config checks them
+    # required options may come from --config, so run checks them once the
+    # file is read
     for p in sub.choices.values():
         required = [a for a in p._actions if a.required]
         for a in required:
             a.required = False
-        p.set_defaults(required={a.dest for a in required})
+        p.set_defaults(required=required)
     return parser
 
 
@@ -354,11 +327,17 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        if not getattr(args, "fn", None):
-            parser.print_usage(sys.stderr)
-            return USAGE_ERROR
-        args = _apply_config(args, args.subparser,
-                             argv[argv.index(args.command) + 1:])
+        if args.config:
+            # the file's flags go right after the subcommand: argparse keeps
+            # the last value it reads, so the command line's own flags win
+            at = argv.index(args.command) + 1
+            file_flags = _config_flags(args.config, args.subparser)
+            args = parser.parse_args(argv[:at] + file_flags + argv[at:])
+        missing = [a.option_strings[0] for a in args.required
+                   if getattr(args, a.dest) is None]
+        if missing:
+            args.subparser.error(f"the following arguments are required: "
+                                 f"{', '.join(missing)}")
         return args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0) and USAGE_ERROR

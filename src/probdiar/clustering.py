@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError, ShapeError
+from .errors import CalibrationError, DomainError
 from .partitions import canonicalize
 from .plda import DiagPlda, EmbeddingBatch, _pooled_loglik, segment_stats
 
@@ -162,7 +162,14 @@ def _pair_matrix(n: int, pair) -> np.ndarray:
 
 
 def _book_trace(emb: EmbeddingBatch, plda: DiagPlda, scale: float) -> MergeTrace:
-    a_bar, b_bar, g = segment_stats(emb, plda, scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_bar, b_bar, g = segment_stats(emb, plda, scale)
+        # every cluster's |a_bar| and b_bar are at most their column sums, so
+        # this bounds every gain and every term the gains are made of
+        h = np.abs(a_bar).sum(axis=0)
+        bound = 1.5 * float(h @ h + np.log1p(b_bar.sum(axis=0)).sum())
+    if not math.isfinite(bound):
+        raise DomainError(f"likelihood_scale {scale:g} overflows the cluster statistics")
 
     def rescore(a, b, others):
         # gains of untouched pairs stay exact because stats merge additively

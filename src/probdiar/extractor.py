@@ -32,6 +32,8 @@ INIT_MARGIN_SAFETY = 1.05
 QUALITY_NOISE_STD = 0.05
 # bounds of the uniform synthetic segment durations, in seconds
 DURATION_BOUNDS = (0.5, 2.0)
+# synthetic quality features: a noisy noise-level encoding and the duration
+QUALITY_DIM = 2
 
 
 def softplus(z):
@@ -140,7 +142,7 @@ def extract(rec: SegmentRecord, model: ExtractorModel) -> ProbEmbedding:
 
 
 def init_extractor(full: FullPlda, seed: int, margin: float = 100.0,
-                   quality_dim: int = 2) -> tuple[ExtractorModel, DiagPlda]:
+                   quality_dim: int = QUALITY_DIM) -> tuple[ExtractorModel, DiagPlda]:
     """Initialize extractor and diagonal PLDA from an untransformed model.
 
     The mean transform is the diagonalizing transform, and the precision net
@@ -169,7 +171,6 @@ class SyntheticConfig:
     with strongly heterogeneous segment quality."""
 
     dim: int = 8                    # embedding dim D (= raw dim here)
-    quality_dim: int = 2            # noisy noise-level encoding + duration
     n_recordings: int = 40
     segments_per_recording: int = 24
     min_speakers: int = 2
@@ -180,7 +181,7 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.dim, self.quality_dim, self.n_recordings,
+        if min(self.dim, self.n_recordings,
                self.segments_per_recording, self.min_speakers) < 1:
             raise DomainError("all size parameters must be positive")
         if self.max_speakers < self.min_speakers:
@@ -325,8 +326,7 @@ def generate_corpus(cfg: SyntheticConfig) -> Corpus:
         for t in range(n_seg):
             clean = speakers[:, spk_idx[t]] + chol_w @ rrng.normal(size=cfg.dim)
             raw = clean + sigma[t] * rrng.normal(size=cfg.dim)
-            enc = log_var[t] + QUALITY_NOISE_STD * rrng.normal(size=cfg.quality_dim - 1) \
-                if cfg.quality_dim > 1 else np.zeros(0)
+            enc = log_var[t] + QUALITY_NOISE_STD * rrng.normal(size=QUALITY_DIM - 1)
             quality = np.concatenate([enc, [durations[t]]])
             records.append(SegmentRecord(raw=raw, quality=quality, duration=durations[t]))
             starts.append(t0)

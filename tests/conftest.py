@@ -22,6 +22,21 @@ def small_corpus():
 
 
 @pytest.fixture()
+def skewed_gradients(monkeypatch):
+    """Analytic gradients 1% too large, as a wrong backward pass gives them;
+    the loss is unchanged."""
+    from probdiar import training
+
+    exact = training._forward_backward
+
+    def skewed(*args):
+        loss, grads = exact(*args)
+        return loss, None if grads is None else {k: 1.01 * g for k, g in grads.items()}
+
+    monkeypatch.setattr(training, "_forward_backward", skewed)
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
 

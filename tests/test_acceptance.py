@@ -4,7 +4,6 @@ Each test prints a single "ACCEPTANCE <k>: PASS" line on success (visible
 with -s or -rP); under `pytest -v` the per-test PASSED/FAILED line serves the
 same purpose.  Criteria 7 and 8 share one module-scoped end-to-end run."""
 
-import itertools
 import math
 import time
 
@@ -12,7 +11,6 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-import probdiar as pd
 from probdiar.clustering import AhcConfig, ahc_by_the_book
 from probdiar.evalkit import Timeline, Turn, der
 from probdiar.extractor import (ExtractorModel, PrecisionNet, SegmentRecord,

@@ -2,14 +2,12 @@
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from probdiar.cli import _apply_config, build_parser, run
+from probdiar.cli import _config_flags, build_parser, run
 from probdiar.errors import DataError
-from probdiar.extractor import Corpus, ExtractorModel, PrecisionNet, estimate_full_plda
+from probdiar.extractor import Corpus, estimate_full_plda
 from probdiar.io import load_corpus, load_model, save_model
-from probdiar.plda import DiagPlda
 from probdiar.training import TrainConfig, train
 
 
@@ -70,6 +68,14 @@ class TestTrain:
                     "--n", "4", "--epochs", "1"]) == 2
         assert "[data]" in capsys.readouterr().err
 
+    def test_failed_gradient_check_is_numeric_error(self, workdir, tmp_path, capsys,
+                                                    skewed_gradients):
+        assert run(["train", "--corpus", str(workdir / "corpus.tsv"),
+                    "--out", str(tmp_path / "m.txt"), "--n", "4", "--epochs", "0",
+                    "--check"]) == 3
+        assert "[numeric] gradient check failed" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
 
 class TestDiarize:
     def test_writes_rttm(self, workdir, capsys):
@@ -114,6 +120,15 @@ class TestDiarize:
                     "--model", str(workdir / "model.txt"),
                     "--out", str(tmp_path / "h.rttm"), "--scale", "inf"]) == 3
         assert "[numeric] likelihood_scale" in capsys.readouterr().err
+        assert not (tmp_path / "h.rttm").exists()
+
+    def test_overflowing_scale_is_numeric_error(self, workdir, tmp_path, capsys):
+        assert run(["diarize", "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(workdir / "model.txt"),
+                    "--out", str(tmp_path / "h.rttm"), "--scale", "1e300"]) == 3
+        captured = capsys.readouterr()
+        assert "[numeric] likelihood_scale 1e+300 overflows" in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "h.rttm").exists()
 
 
@@ -195,6 +210,14 @@ class TestSweep:
         assert "[numeric] likelihood_scale" in captured.err
         assert captured.out == ""
 
+    def test_overflowing_scale_value_is_numeric_error(self, workdir, capsys):
+        assert run(["sweep", "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(workdir / "model.txt"),
+                    "--param", "scale", "--values=1,1e300"]) == 3
+        captured = capsys.readouterr()
+        assert "[numeric] likelihood_scale 1e+300 overflows" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("values", ["1,abc", "1,,2"])
     def test_bad_values_flag_is_usage_error(self, workdir, capsys, values):
         assert run(["sweep", "--corpus", str(workdir / "corpus.tsv"),
@@ -251,6 +274,33 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 4  # two grid rows, not one
 
+    def test_flag_before_config_wins(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("values = 0\n")
+        assert run(["sweep", "--values=-1,1", "--config", str(cfg),
+                    "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(workdir / "model.txt"), "--param", "sigma"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4  # two grid rows
+
+    def test_abbreviated_config_flag(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("param = sigma\nvalues = -1,1\n")
+        assert run(["sweep", "--conf", str(cfg),
+                    "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(workdir / "model.txt")]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+    @pytest.mark.parametrize("key", ["config", "help"])
+    def test_config_and_help_are_not_keys(self, workdir, tmp_path, capsys, key):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"{key} = {cfg}\n")
+        assert run(["diarize", "--config", str(cfg),
+                    "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(workdir / "model.txt"),
+                    "--out", str(tmp_path / "h.rttm")]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "h.rttm").exists()
+
     def test_explicit_flag_equal_to_default_wins(self, workdir, tmp_path):
         cfg = tmp_path / "opts.cfg"
         cfg.write_text("sigma = 5\n")
@@ -279,14 +329,15 @@ class TestConfigFile:
         assert key in capsys.readouterr().err
 
     def test_bad_values_line_is_data_error(self, tmp_path):
-        # with no argv, no flag counts as given and the file line applies
+        # the line is checked when the file is turned into flags, before any
+        # command-line flag can override it
         cfg = tmp_path / "opts.cfg"
         cfg.write_text("values = 1,abc\n")
         args = build_parser().parse_args(["sweep", "--config", str(cfg),
                                           "--corpus", "c.tsv", "--model", "m.txt",
                                           "--param", "sigma", "--values", "0"])
         with pytest.raises(DataError, match="values"):
-            _apply_config(args, args.subparser)
+            _config_flags(args.config, args.subparser)
 
     @pytest.mark.parametrize("text, want", [
         ("false", False), ("FALSE", False), ("no", False), ("0", False),
@@ -294,9 +345,10 @@ class TestConfigFile:
     def test_boolean_values(self, tmp_path, text, want):
         cfg = tmp_path / "opts.cfg"
         cfg.write_text(f"freeze_net = {text}\n")
-        args = build_parser().parse_args(["train", "--config", str(cfg),
-                                          "--corpus", "c.tsv", "--out", "m.txt"])
-        assert _apply_config(args, args.subparser).freeze_net is want
+        parser = build_parser()
+        argv = ["--corpus", "c.tsv", "--out", "m.txt"]
+        flags = _config_flags(cfg, parser.parse_args(["train", *argv]).subparser)
+        assert parser.parse_args(["train", *flags, *argv]).freeze_net is want
 
     def test_required_options_from_file(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "opts.cfg"

@@ -220,6 +220,19 @@ class TestAhcDispatch:
             with pytest.raises(DomainError, match="likelihood_scale"):
                 AhcConfig(likelihood_scale=scale)
 
+    def test_overflowing_scale_rejected(self, rng):
+        """A finite scale that overflows the pooled statistics is a numeric
+        error raised before any gain is scored; a RuntimeWarning on the way
+        would fail this test."""
+        emb, plda = stack(random_embeddings(rng, 6)), DiagPlda(np.ones(4))
+        for scale in (1e160, 1e300, np.finfo(float).max):
+            cfg = AhcConfig(likelihood_scale=scale)
+            with pytest.raises(DomainError, match="likelihood_scale .* overflows"):
+                merge_trace(emb, plda, cfg)
+            with pytest.raises(DomainError, match="overflows"):
+                ahc(emb, plda, cfg)
+        assert len(list(merge_trace(emb, plda, AhcConfig(likelihood_scale=1e100)))) == 5
+
     def test_nan_sigma_rejected(self, rng):
         """NaN compares with no score: book AHC would merge nothing and the
         baseline everything.  The infinities stay valid."""

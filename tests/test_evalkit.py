@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from probdiar.errors import DomainError, ParseError, ScoringError, ShapeError
-from probdiar.evalkit import (DerReport, Timeline, Turn, _activity, _scored_pieces,
-                              _turn_ranges, aggregate_der, der, read_rttm,
-                              relabel_scorer, report_table, write_rttm)
+from probdiar.evalkit import (Timeline, Turn, _activity, _scored_pieces, _turn_ranges,
+                              aggregate_der, der, read_rttm, relabel_scorer,
+                              report_table, write_rttm)
 from probdiar.pipeline import _speakers, _timeline
 
 from .der_loop import loop_der

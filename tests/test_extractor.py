@@ -8,11 +8,11 @@ import pytest
 
 import probdiar as pd
 from probdiar.errors import DomainError, ShapeError
-from probdiar.extractor import (Corpus, ExtractorModel, PrecisionNet, Recording,
-                                SegmentRecord, SyntheticConfig, estimate_full_plda,
-                                extract, extract_batch, generate_corpus,
-                                init_extractor, inv_softplus, softplus)
-from probdiar.plda import DiagPlda, clustering_log_posterior, joint_diagonalize
+from probdiar.extractor import (QUALITY_DIM, Corpus, ExtractorModel, PrecisionNet,
+                                Recording, SegmentRecord, SyntheticConfig,
+                                estimate_full_plda, extract, extract_batch,
+                                generate_corpus, init_extractor, inv_softplus, softplus)
+from probdiar.plda import clustering_log_posterior, joint_diagonalize
 
 from .conftest import brute_force_log_posterior
 
@@ -183,7 +183,7 @@ class TestGenerateCorpus:
                               within_scale=0.05, seed=3)
         corpus = generate_corpus(cfg)
         model, plda = init_extractor(corpus.full_plda, seed=0, margin=100.0,
-                                     quality_dim=cfg.quality_dim)
+                                     quality_dim=QUALITY_DIM)
         for rec in corpus.recordings:
             assert np.all(rec.oracle_prec > 1e20)
             labels = pd.ahc(pd.extract_batch(rec.records, model), plda,

@@ -11,10 +11,9 @@ from scipy.special import logsumexp
 
 from probdiar import partitions
 from probdiar.errors import DomainError, SizeError
-from probdiar.partitions import (ALPHA_MAX, CrpParams, PartitionTables, bell_number,
-                                 build_tables, canonicalize, cluster_count_variance,
-                                 crp_log_prob, enumerate_rgs, expected_cluster_count,
-                                 fit_crp)
+from probdiar.partitions import (ALPHA_MAX, CrpParams, bell_number, build_tables,
+                                 canonicalize, cluster_count_variance, crp_log_prob,
+                                 enumerate_rgs, expected_cluster_count, fit_crp)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]  # B_0..B_10
 
