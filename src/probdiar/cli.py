@@ -13,19 +13,24 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+from scipy.special import logsumexp
 
 from . import __version__
 from .clustering import AhcConfig
-from .errors import (CalibrationError, DataError, DecompositionError, DomainError,
-                     ScoringError, ShapeError, SizeError, TrainingError)
+from .errors import DataError, ProbdiarError, TrainingError
 from .evalkit import aggregate_der, der, read_rttm, report_table, write_rttm
-from .extractor import Corpus, SyntheticConfig, estimate_full_plda, generate_corpus
+from .extractor import (Corpus, ExtractorModel, PrecisionNet, SegmentRecord,
+                        SyntheticConfig, estimate_full_plda, generate_corpus,
+                        init_extractor)
 from .io import (MODEL_FORMAT_VERSION, load_corpus, load_model, save_corpus,
                  save_history, save_model)
-from .partitions import CrpParams, build_tables, enumerate_rgs
+from .partitions import (CrpParams, bell_number, build_tables, canonicalize,
+                         enumerate_rgs)
 from .pipeline import diarize_corpus, reference_timeline, sweep, sweep_table
-from .training import (TrainConfig, finite_difference_check, sample_octets,
-                       train)
+from .plda import (DiagPlda, EmbeddingBatch, ProbEmbedding, _pooled_loglik,
+                   clustering_log_posterior, segment_stats)
+from .training import (OctetTrial, TrainConfig, finite_difference_check,
+                       sample_octets, train)
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 1, 2, 3
 
@@ -174,12 +179,8 @@ def _check(ok, what):
 
 
 def cmd_selftest(args):
-    from .plda import (DiagPlda, EmbeddingBatch, ProbEmbedding, _pooled_loglik,
-                       clustering_log_posterior, segment_stats)
-
     rng = np.random.default_rng(args.seed)
     print("partition counts...", end=" ")
-    from .partitions import bell_number
     for n in range(1, 9):
         _check(len(enumerate_rgs(n)) == bell_number(n), f"partition count of n={n}")
     print("ok")
@@ -203,15 +204,11 @@ def cmd_selftest(args):
                                               b_bar[members].sum(axis=0)))
             direct.append(total)
         direct = np.array(direct) + tables.log_prior
-        from scipy.special import logsumexp
         direct -= logsumexp(direct)
         _check(np.max(np.abs(post - direct)) < 1e-10, f"posterior of n={n}")
     print("ok")
 
     print("analytic gradients vs finite differences...", end=" ")
-    from .extractor import ExtractorModel, PrecisionNet, SegmentRecord
-    from .training import OctetTrial
-    from .partitions import canonicalize
     d_dim, r_dim, q_dim, h_dim, n = 4, 4, 2, 6, 4
     net = PrecisionNet(W1=rng.normal(size=(h_dim, q_dim)), b1=rng.normal(size=h_dim),
                        W2=rng.normal(size=(d_dim, h_dim)), b2=rng.normal(size=d_dim))
@@ -231,7 +228,6 @@ def cmd_selftest(args):
     print("training gradient-check gate at initialization...", end=" ")
     corpus = generate_corpus(SyntheticConfig(n_recordings=4, segments_per_recording=12,
                                              seed=args.seed))
-    from .extractor import init_extractor
     model_i, plda_i = init_extractor(corpus.full_plda, seed=args.seed, margin=100.0)
     stream = sample_octets(corpus, n, rng)
     batch = [next(stream) for _ in range(3)]
@@ -341,11 +337,10 @@ def run(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0) and USAGE_ERROR
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"probdiar: error: [data] {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (TrainingError, DecompositionError, CalibrationError, ScoringError,
-            DomainError, ShapeError, SizeError) as exc:
+    except ProbdiarError as exc:
         print(f"probdiar: error: [numeric] {exc}", file=sys.stderr)
         return NUMERIC_ERROR
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, ParseError, ProbdiarError
+from .errors import DataError, ParseError
 from .extractor import ExtractorModel, PrecisionNet, Recording, SegmentRecord
 from .plda import DiagPlda
 
@@ -72,20 +72,22 @@ def load_model(path) -> tuple[ExtractorModel, DiagPlda]:
         b2, pos = _read_matrix(lines, pos, "b2")
         header = {key: int(fields[key])
                   for key in ("dim", "raw_dim", "quality_dim", "hidden")}
-    except ProbdiarError:   # the checks above, with their own types and lines
+        # every size the header states, against each array that has it
+        sizes = {"dim": (w.size, a.shape[0], w2.shape[0], b2.size),
+                 "raw_dim": (a.shape[1],), "quality_dim": (w1.shape[1],),
+                 "hidden": (w1.shape[0], w2.shape[1], b1.size)}
+        for key, found in sizes.items():
+            if any(n != header[key] for n in found):
+                raise ParseError(f"model file {path}: header {key} {header[key]} does "
+                                 f"not match the array sizes {found}")
+        if not all(np.isfinite(m).all() for m in (w, a, w1, b1, w2, b2)):
+            raise ParseError(f"model file {path}: every value must be finite")
+        net = PrecisionNet(W1=w1, b1=b1.reshape(-1), W2=w2, b2=b2.reshape(-1))
+        return ExtractorModel(A=a, net=net), DiagPlda(w)
+    except DataError:   # the checks above, with their own types and lines
         raise
-    except (ValueError, KeyError, IndexError) as exc:
+    except (ValueError, KeyError, IndexError) as exc:   # DomainError included
         raise ParseError(f"malformed model file {path}: {exc}") from exc
-    # every size the header states, against each array that has it
-    sizes = {"dim": (w.size, a.shape[0], w2.shape[0], b2.size),
-             "raw_dim": (a.shape[1],), "quality_dim": (w1.shape[1],),
-             "hidden": (w1.shape[0], w2.shape[1], b1.size)}
-    for key, found in sizes.items():
-        if any(n != header[key] for n in found):
-            raise ParseError(f"model file {path}: header {key} {header[key]} does not "
-                             f"match the array sizes {found}")
-    net = PrecisionNet(W1=w1, b1=b1.reshape(-1), W2=w2, b2=b2.reshape(-1))
-    return ExtractorModel(A=a, net=net), DiagPlda(w)
 
 
 # Corpus files: one segment per line, tab-separated fields in this order:

@@ -22,23 +22,16 @@ from .partitions import PartitionTables
 
 @dataclass(frozen=True)
 class ProbEmbedding:
-    """A probabilistic embedding: mean and diagonal precision."""
+    """A probabilistic embedding: mean and diagonal precision, the one row of
+    an `EmbeddingBatch`, whose checks it passes."""
 
     xhat: np.ndarray
     prec: np.ndarray
 
     def __post_init__(self):
-        xhat = np.asarray(self.xhat, dtype=np.float64)
-        prec = np.asarray(self.prec, dtype=np.float64)
-        object.__setattr__(self, "xhat", xhat)
-        object.__setattr__(self, "prec", prec)
-        if xhat.shape != prec.shape or xhat.ndim != 1:
-            raise ShapeError(f"xhat/prec must be equal-length vectors, got "
-                             f"{xhat.shape} and {prec.shape}")
-        if not np.all(np.isfinite(xhat)):
-            raise DomainError("xhat must be finite")
-        if not (np.all(np.isfinite(prec)) and np.all(prec >= 0)):
-            raise DomainError("prec must be finite and nonnegative")
+        batch = EmbeddingBatch([self.xhat], [self.prec])
+        object.__setattr__(self, "xhat", batch.xhat[0])
+        object.__setattr__(self, "prec", batch.prec[0])
 
     @property
     def dim(self) -> int:

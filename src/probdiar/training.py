@@ -369,7 +369,7 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
             if err > 1e-4:
                 raise TrainingError(f"gradient check failed: rel error {err:.2e}")
 
-    params = {k: v.copy() for k, v in _get_params(model, plda).items()}
+    params = _get_params(model, plda)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     slow = {"log_w", "A"}
     frozen = set() if cfg.train_net else {"W1", "b1", "W2", "b2"}
@@ -383,8 +383,8 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
         return _forward_backward(*heldout, m, d, tables, False, ws)[0]
 
     result = TrainResult(model=model, plda=plda)
-    model_c, plda_c = model, plda
-    last_good = {k: v.copy() for k, v in params.items()}
+    # the last pair with a finite loss: SGD rebinds, never writes, its arrays
+    model_c, plda_c = good = model, plda
     for epoch in range(cfg.epochs):
         epoch_losses = []
         for _ in range(batches_per_epoch):
@@ -393,10 +393,9 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
             loss, grads = _forward_backward(raw, quality, truth, model_c, plda_c,
                                             tables, True, ws)
             if not np.isfinite(loss):
-                chk = _set_params(last_good)
-                raise TrainingError(f"loss diverged at epoch {epoch}", checkpoint=chk)
+                raise TrainingError(f"loss diverged at epoch {epoch}", checkpoint=good)
             epoch_losses.append(loss)
-            last_good = {k: v.copy() for k, v in params.items()}
+            good = model_c, plda_c
             for name, grad in grads.items():
                 if name in frozen:
                     continue
@@ -406,9 +405,8 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
             try:
                 model_c, plda_c = _set_params(params)
             except (DomainError, FloatingPointError) as exc:
-                chk = _set_params(last_good)
                 raise TrainingError(f"parameters diverged at epoch {epoch}: {exc}",
-                                    checkpoint=chk) from exc
+                                    checkpoint=good) from exc
         result.history.append((epoch, float(np.mean(epoch_losses)),
                                heldout_ce(model_c, plda_c)))
     result.model, result.plda = model_c, plda_c

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from probdiar.cli import _config_flags, build_parser, run
-from probdiar.errors import DataError
+from probdiar.errors import DataError, ProbdiarError
 from probdiar.extractor import Corpus, estimate_full_plda
 from probdiar.io import load_corpus, load_model, save_model
 from probdiar.training import TrainConfig, train
@@ -455,6 +455,58 @@ class TestErrorsAndUsage:
                     "--out", str(tmp_path / "h.rttm")]) == 2
         err = capsys.readouterr().err
         assert "[data]" in err and "header dim 99" in err
+
+    @pytest.mark.parametrize("line, text, message", [
+        (5, "w nan 1 1 1", "every value must be finite"),
+        (5, "w -1 1 1 1", "w must be finite and strictly positive"),
+        (7, "nan 0 0 0", "every value must be finite")])
+    def test_bad_model_value_is_parse_error(self, workdir, tmp_path, capsys,
+                                            line, text, message):
+        """A NaN or negative PLDA precision or a NaN in A is a data error that
+        names the file, found when the model loads."""
+        lines = (workdir / "model.txt").read_text().splitlines()
+        lines[line] = text
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["diarize", "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(bad),
+                    "--out", str(tmp_path / "h.rttm")]) == 2
+        err = capsys.readouterr().err
+        assert "[data]" in err and str(bad) in err and message in err
+
+    @pytest.mark.parametrize("argv", [
+        "score --ref {tmp} --hyp {ref}",
+        "diarize --corpus {corpus} --model {model} --out {tmp}",
+        "selftest --config {tmp}",
+        "diarize --corpus {bad} --model {model} --out {tmp}/h.rttm",
+        "score --ref {bad} --hyp {ref}"])
+    def test_unusable_path_is_data_error(self, workdir, tmp_path, capsys, argv):
+        """A directory given as an input, an output or a config file, and a
+        corpus or RTTM file that is not UTF-8, are data errors."""
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\x00rec\n")
+        paths = {"tmp": tmp_path, "bad": bad, "corpus": workdir / "corpus.tsv",
+                 "model": workdir / "model.txt", "ref": workdir / "ref.rttm"}
+        assert run(argv.format(**paths).split()) == 2
+        assert "[data]" in capsys.readouterr().err
+
+
+def _error_classes(cls=ProbdiarError):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+def test_exit_code_follows_error_class(monkeypatch, capsys, cls):
+    """Every toolkit error maps to an exit code by its class alone: a
+    DataError (subclasses included) is a data error, any other a numeric
+    one."""
+    def fail(args):
+        raise cls("boom")
+    monkeypatch.setattr("probdiar.cli.cmd_selftest", fail)
+    data = issubclass(cls, DataError)
+    assert run(["selftest"]) == (2 if data else 3)
+    label = "[data]" if data else "[numeric]"
+    assert f"probdiar: error: {label} boom" in capsys.readouterr().err
 
 
 class TestSelftest:

@@ -426,6 +426,59 @@ class TestTrain:
             train(cfg, small_corpus)
         assert exc_info.value.checkpoint is not None
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_loss_divergence_checkpoint(self, small_corpus, monkeypatch, k):
+        """A NaN loss at step k hands back the very pair step k-1 scored, and
+        at k = 1 the initial pair itself."""
+        exact = pd.training._forward_backward
+        scored = []
+
+        def nan_at_k(raw, quality, truth, model, plda, tables, want_grad, ws=None):
+            loss, grads = exact(raw, quality, truth, model, plda, tables, want_grad, ws)
+            if want_grad:
+                scored.append((model, plda))
+                if len(scored) == k:
+                    loss = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(pd.training, "_forward_backward", nan_at_k)
+        init = pd.init_extractor(small_corpus.full_plda, seed=0, margin=10.0,
+                                 quality_dim=2)
+        with pytest.raises(TrainingError, match="loss diverged") as exc_info:
+            train(TrainConfig(epochs=5, seed=0, n=4), small_corpus, init=init)
+        model, plda = exc_info.value.checkpoint
+        want = init if k == 1 else scored[k - 2]
+        assert len(scored) == k and model is want[0] and plda is want[1]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_parameter_divergence_checkpoint(self, small_corpus, monkeypatch, k):
+        """Parameters that fail to build after step k hand back the pair that
+        step k scored with a finite loss."""
+        exact_set, exact_fb = pd.training._set_params, pd.training._forward_backward
+        scored, built = [], []
+
+        def record(raw, quality, truth, model, plda, tables, want_grad, ws=None):
+            if want_grad:
+                scored.append((model, plda))
+            return exact_fb(raw, quality, truth, model, plda, tables, want_grad, ws)
+
+        def fail_at_k(params):
+            built.append(params)
+            if len(built) == k:
+                raise DomainError("w must be finite and strictly positive")
+            return exact_set(params)
+
+        monkeypatch.setattr(pd.training, "_forward_backward", record)
+        monkeypatch.setattr(pd.training, "_set_params", fail_at_k)
+        init = pd.init_extractor(small_corpus.full_plda, seed=0, margin=10.0,
+                                 quality_dim=2)
+        with pytest.raises(TrainingError, match="parameters diverged") as exc_info:
+            train(TrainConfig(epochs=5, seed=0, n=4), small_corpus, init=init)
+        model, plda = exc_info.value.checkpoint
+        assert len(scored) == k and model is scored[-1][0] and plda is scored[-1][1]
+        if k == 1:
+            assert model is init[0] and plda is init[1]
+
     def test_tables_of_another_n_rejected(self, small_corpus, tables_by_n):
         with pytest.raises(ShapeError, match="6-tuples, but cfg.n is 8"):
             train(TrainConfig(epochs=1), small_corpus, tables=tables_by_n[6])
