@@ -23,7 +23,7 @@ from .extractor import (Corpus, ExtractorModel, PrecisionNet, SegmentRecord,
                         SyntheticConfig, estimate_full_plda, generate_corpus,
                         init_extractor)
 from .io import (MODEL_FORMAT_VERSION, load_corpus, load_model, save_corpus,
-                 save_history, save_model)
+                 save_history, save_model, text_lines)
 from .partitions import (CrpParams, bell_number, build_tables, canonicalize,
                          enumerate_rgs)
 from .pipeline import diarize_corpus, reference_timeline, sweep, sweep_table
@@ -47,34 +47,33 @@ def _config_flags(path, parser):
     actions = {a.dest: a for a in parser._actions
                if a.option_strings and a.dest not in ("help", "config")}
     flags = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            key = key.replace("-", "_")
-            action = actions.get(key)
-            if action is None:
-                raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-            flag = action.option_strings[0]
-            if isinstance(action, argparse._StoreTrueAction):
-                if val.lower() not in _BOOLEANS:
-                    raise DataError(f"{path}: {key} expects true/false/yes/no/1/0, "
-                                    f"got {val!r}")
-                flags[key] = flag if _BOOLEANS[val.lower()] else None
-                continue
-            try:
-                value = (action.type or str)(val)
-            except (TypeError, ValueError):
-                raise DataError(f"{path}: {key} expects {action.type.__name__}, "
-                                f"got {val!r}") from None
-            if action.choices is not None and value not in action.choices:
-                raise DataError(f"{path}: {key} expects one of "
-                                f"{', '.join(map(str, action.choices))}, got {val!r}")
-            flags[key] = f"{flag}={val}"
+    for lineno, line in enumerate(text_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        key = key.replace("-", "_")
+        action = actions.get(key)
+        if action is None:
+            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        flag = action.option_strings[0]
+        if isinstance(action, argparse._StoreTrueAction):
+            if val.lower() not in _BOOLEANS:
+                raise DataError(f"{path}: {key} expects true/false/yes/no/1/0, "
+                                f"got {val!r}")
+            flags[key] = flag if _BOOLEANS[val.lower()] else None
+            continue
+        try:
+            value = (action.type or str)(val)
+        except (TypeError, ValueError):
+            raise DataError(f"{path}: {key} expects {action.type.__name__}, "
+                            f"got {val!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise DataError(f"{path}: {key} expects one of "
+                            f"{', '.join(map(str, action.choices))}, got {val!r}")
+        flags[key] = f"{flag}={val}"
     return [flag for flag in flags.values() if flag]
 
 
@@ -337,7 +336,7 @@ def run(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0) and USAGE_ERROR
-    except (DataError, OSError, UnicodeDecodeError) as exc:
+    except (DataError, OSError) as exc:
         print(f"probdiar: error: [data] {exc}", file=sys.stderr)
         return DATA_ERROR
     except ProbdiarError as exc:

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, ParseError, ScoringError, ShapeError
+from .io import text_lines
 
 FRAME_STEP = 0.01  # seconds
 
@@ -77,23 +78,22 @@ def read_rttm(path) -> dict[str, Timeline]:
     """Parse an RTTM file into timelines keyed by recording id.  Non-SPEAKER
     lines are skipped with a warning."""
     turns: dict[str, list] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] != "SPEAKER":
-                warnings.warn(f"{path}:{lineno}: skipping unknown line type {parts[0]!r}")
-                continue
-            if len(parts) < 8:
-                raise ParseError(f"SPEAKER line has {len(parts)} fields, expected >= 8",
-                                 line=lineno)
-            try:
-                turn = Turn(float(parts[3]), float(parts[4]), parts[7])
-            except ValueError as exc:   # DomainError included
-                raise ParseError(f"malformed numeric field: {exc}", line=lineno) from exc
-            turns.setdefault(parts[1], []).append(turn)
+    for lineno, line in enumerate(text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] != "SPEAKER":
+            warnings.warn(f"{path}:{lineno}: skipping unknown line type {parts[0]!r}")
+            continue
+        if len(parts) < 8:
+            raise ParseError(f"SPEAKER line has {len(parts)} fields, expected >= 8",
+                             line=lineno)
+        try:
+            turn = Turn(float(parts[3]), float(parts[4]), parts[7])
+        except ValueError as exc:   # DomainError included
+            raise ParseError(f"malformed numeric field: {exc}", line=lineno) from exc
+        turns.setdefault(parts[1], []).append(turn)
     return {rec: Timeline(rec, tuple(ts)) for rec, ts in turns.items()}
 
 

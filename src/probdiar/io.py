@@ -16,6 +16,16 @@ from .plda import DiagPlda
 MODEL_FORMAT_VERSION = 1
 
 
+def text_lines(path):
+    """Yield the lines of the UTF-8 text file `path`.  Bytes that do not
+    decode are a DataError that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _fmt_vec(v):
     return " ".join(f"{x:.17g}" for x in np.asarray(v).reshape(-1))
 
@@ -56,8 +66,7 @@ def _read_matrix(lines, pos, name):
 
 def load_model(path) -> tuple[ExtractorModel, DiagPlda]:
     """Read a model file written by save_model."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [ln.rstrip("\n") for ln in text_lines(path)]
     try:
         fields = dict(ln.split(maxsplit=1) for ln in lines[:5])
         if int(fields["format_version"]) != MODEL_FORMAT_VERSION:
@@ -111,34 +120,33 @@ def load_corpus(path) -> list[Recording]:
     that raw and quality dimensions are consistent across all lines."""
     by_rec: dict[str, list] = {}
     raw_dim = qual_dim = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 7:
-                raise ParseError(f"expected 7 tab-separated fields, got {len(parts)}",
-                                 line=lineno)
-            rec_id, _seg_id, start_s, dur_s, raw_s, qual_s, spk_s = parts
-            try:
-                start, dur = float(start_s), float(dur_s)
-                raw = np.array([float(x) for x in raw_s.split(",")])
-                qual = np.array([float(x) for x in qual_s.split(",")])
-                spk = int(spk_s)
-                record = SegmentRecord(raw=raw, quality=qual, duration=dur)
-            except ValueError as exc:   # DomainError included
-                raise ParseError(f"malformed numeric field: {exc}", line=lineno) from exc
-            if not (np.isfinite(start) and start >= 0):
-                raise ParseError(f"segment start must be finite and nonnegative, "
-                                 f"got {start_s!r}", line=lineno)
-            if raw_dim is None:
-                raw_dim, qual_dim = raw.size, qual.size
-            elif (raw.size, qual.size) != (raw_dim, qual_dim):
-                raise ParseError(
-                    f"inconsistent vector dims ({raw.size},{qual.size}) vs "
-                    f"({raw_dim},{qual_dim})", line=lineno)
-            by_rec.setdefault(rec_id, []).append((start, record, spk))
+    for lineno, line in enumerate(text_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 7:
+            raise ParseError(f"expected 7 tab-separated fields, got {len(parts)}",
+                             line=lineno)
+        rec_id, _seg_id, start_s, dur_s, raw_s, qual_s, spk_s = parts
+        try:
+            start, dur = float(start_s), float(dur_s)
+            raw = np.array([float(x) for x in raw_s.split(",")])
+            qual = np.array([float(x) for x in qual_s.split(",")])
+            spk = int(spk_s)
+            record = SegmentRecord(raw=raw, quality=qual, duration=dur)
+        except ValueError as exc:   # DomainError included
+            raise ParseError(f"malformed numeric field: {exc}", line=lineno) from exc
+        if not (np.isfinite(start) and start >= 0):
+            raise ParseError(f"segment start must be finite and nonnegative, "
+                             f"got {start_s!r}", line=lineno)
+        if raw_dim is None:
+            raw_dim, qual_dim = raw.size, qual.size
+        elif (raw.size, qual.size) != (raw_dim, qual_dim):
+            raise ParseError(
+                f"inconsistent vector dims ({raw.size},{qual.size}) vs "
+                f"({raw_dim},{qual_dim})", line=lineno)
+        by_rec.setdefault(rec_id, []).append((start, record, spk))
     if not by_rec:
         raise DataError(f"corpus file {path} is empty")
     out = []

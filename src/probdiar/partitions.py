@@ -38,23 +38,24 @@ def bell_number(n: int) -> int:
     return row[-1]
 
 
+def _rgs_array(n: int) -> np.ndarray:
+    """The restricted growth strings of length n as a (B_n x n) int64 array in
+    lexicographic order: each row is repeated once per label it may take
+    next, 1 .. its running maximum + 1."""
+    if not 1 <= n <= MAX_TABLE_N:
+        raise SizeError(f"partition tables require 1 <= n <= {MAX_TABLE_N}, got {n}")
+    rgs = np.ones((1, 1), dtype=np.int64)
+    for _ in range(1, n):
+        reps = rgs.max(axis=1) + 1
+        parent = np.repeat(np.arange(len(rgs)), reps)
+        label = np.arange(len(parent)) - (np.cumsum(reps) - reps)[parent] + 1
+        rgs = np.column_stack((rgs[parent], label))
+    return rgs
+
+
 def enumerate_rgs(n: int) -> list[tuple[int, ...]]:
     """All restricted growth strings of length n, in lexicographic order."""
-    if not 1 <= n <= MAX_TABLE_N:
-        raise SizeError(f"enumerate_rgs requires 1 <= n <= {MAX_TABLE_N}, got {n}")
-    out = []
-    labels = [1] * n
-
-    def rec(t, mx):
-        if t == n:
-            out.append(tuple(labels))
-            return
-        for lab in range(1, mx + 2):
-            labels[t] = lab
-            rec(t + 1, max(mx, lab))
-
-    rec(1, 1)
-    return out
+    return list(map(tuple, _rgs_array(n).tolist()))
 
 
 def canonicalize(labels) -> tuple[int, ...]:
@@ -88,6 +89,26 @@ class CrpParams:
             raise DomainError("concentration + discount must be positive")
 
 
+def _log_prior(rgs: np.ndarray, params: CrpParams) -> np.ndarray:
+    """Seating-process log probability of each row of a (B x n) array of
+    restricted growth strings: one `math.log` term per seat, added in seat
+    order from 0.0, as a seat-by-seat loop over one row adds them."""
+    alpha, d = params.concentration, params.discount
+    rows = np.arange(len(rgs))
+    counts = np.zeros((len(rgs), rgs.shape[1] + 1), dtype=np.int64)  # sizes by label
+    counts[:, 1] = 1
+    top = np.maximum.accumulate(rgs, axis=1)   # clusters open after each seat
+    logp = np.zeros(len(rgs))
+    for t in range(1, rgs.shape[1]):
+        den = math.log(alpha + t)
+        join = np.array([0.0] + [math.log(c - d) - den for c in range(1, t + 1)])
+        new = np.array([0.0] + [math.log(alpha + k * d) - den for k in range(1, t + 1)])
+        label, k = rgs[:, t], top[:, t - 1]
+        logp += np.where(label > k, new[k], join[counts[rows, label]])
+        counts[rows, label] += 1
+    return logp
+
+
 def crp_log_prob(labels, params: CrpParams) -> float:
     """Log probability of the partition encoded by `labels` under the
     exchangeable Pitman-Yor seating process.
@@ -96,17 +117,8 @@ def crp_log_prob(labels, params: CrpParams) -> float:
     probability (alpha + K*d)/(alpha + t) and joins cluster k of size n_k with
     probability (n_k - d)/(alpha + t).
     """
-    alpha, d = params.concentration, params.discount
-    counts: dict = {}
-    logp = 0.0
-    for t, lab in enumerate(labels):
-        if t > 0:
-            if lab in counts:
-                logp += math.log(counts[lab] - d) - math.log(alpha + t)
-            else:
-                logp += math.log(alpha + len(counts) * d) - math.log(alpha + t)
-        counts[lab] = counts.get(lab, 0) + 1
-    return logp
+    labels = list(labels)
+    return float(_log_prior(np.array([canonicalize(labels)]), params)[0]) if labels else 0.0
 
 
 @dataclass(frozen=True)
@@ -141,10 +153,8 @@ class PartitionTables:
 
 def build_tables(n: int, prior: CrpParams) -> PartitionTables:
     """Build the partition tables for n-tuples under the given prior."""
-    if not 1 <= n <= MAX_TABLE_N:
-        raise SizeError(f"build_tables requires 1 <= n <= {MAX_TABLE_N}, got {n}")
-    rgs = enumerate_rgs(n)
-    log_prior = np.array([crp_log_prob(labels, prior) for labels in rgs])
+    rgs = _rgs_array(n)
+    log_prior = _log_prior(rgs, prior)
     # renormalize so the log prior mass is exactly zero in floating point:
     # then uninformative likelihoods leave the posterior equal to the prior
     # bit for bit
@@ -160,34 +170,37 @@ def build_tables(n: int, prior: CrpParams) -> PartitionTables:
     subsets = np.arange(1, n_cols + 1)
     seg_subset = ((subsets >> np.arange(n)[:, None]) & 1).astype(np.float64)
 
-    part_rows = []
-    for labels in rgs:
-        masks = {}
-        for t, lab in enumerate(labels):
-            masks[lab] = masks.get(lab, 0) | (1 << t)
-        part_rows.append(np.array(sorted(m - 1 for m in masks.values()), dtype=np.int64))
-    indptr = np.cumsum([0] + [len(r) for r in part_rows])
-    part_subset = sp.csr_matrix((np.ones(indptr[-1]), np.concatenate(part_rows), indptr),
+    # row r's clusters as segment bit masks, one column per label, ascending
+    rows = np.arange(len(rgs))
+    masks = np.zeros(rgs.shape, dtype=np.int64)
+    for t in range(n):
+        masks[rows, rgs[:, t] - 1] |= 1 << t
+    masks.sort(axis=1)
+    indptr = np.concatenate(([0], np.cumsum(rgs.max(axis=1))))
+    part_subset = sp.csr_matrix((np.ones(indptr[-1]), masks[masks > 0] - 1, indptr),
                                 shape=(len(rgs), n_cols))
 
+    rgs = tuple(map(tuple, rgs.tolist()))
     return PartitionTables(
         n=n,
-        rgs=tuple(rgs),
+        rgs=rgs,
         log_prior=log_prior,
         seg_subset=seg_subset,
         part_subset=part_subset,
-        index={labels: r for r, labels in enumerate(rgs)},
+        index=dict(zip(rgs, range(len(rgs)))),
     )
 
 
-def expected_cluster_count(n: int, concentration: float, discount: float) -> float:
+def expected_cluster_count(n: int, concentration: float, discount: float,
+                           steps: list[float] | None = None) -> float:
     """Exact E[number of clusters] after seating n customers.
 
     The open-new-cluster probability is affine in the current cluster count,
-    so the expectation obeys a closed one-step recurrence.
+    so the expectation obeys a closed one-step recurrence.  `steps`, the
+    floats 1.0 .. n - 1.0, saves a caller at one n a conversion per step.
     """
     e = 1.0
-    for t in range(1, n):
+    for t in range(1, n) if steps is None else steps:
         e += (concentration + discount * e) / (concentration + t)
     return e
 
@@ -234,13 +247,14 @@ def fit_crp(n_total: int, expected_speakers: float) -> CrpParams:
         raise DomainError(
             f"expected_speakers must be in [1, {n_total}], got {expected_speakers}")
 
+    steps = [float(t) for t in range(1, n_total)]
     candidates = []
     for d in FIT_DISCOUNT_GRID:
         lo = 1e-12 if d == 0 else 0.0
-        e_lo = expected_cluster_count(n_total, max(lo, 1e-12), d)
+        e_lo = expected_cluster_count(n_total, max(lo, 1e-12), d, steps)
         if e_lo > expected_speakers * (1 + FIT_REL_TOL):
             continue
-        e_hi = expected_cluster_count(n_total, ALPHA_MAX, d)
+        e_hi = expected_cluster_count(n_total, ALPHA_MAX, d, steps)
         if e_hi < expected_speakers:
             # target only reachable as alpha -> inf: clip
             warnings.warn(
@@ -251,14 +265,14 @@ def fit_crp(n_total: int, expected_speakers: float) -> CrpParams:
         a_lo, a_hi = lo, ALPHA_MAX
         for _ in range(200):
             mid = 0.5 * (a_lo + a_hi)
-            if expected_cluster_count(n_total, max(mid, 1e-300), d) < expected_speakers:
+            if expected_cluster_count(n_total, max(mid, 1e-300), d, steps) < expected_speakers:
                 a_lo = mid
             else:
                 a_hi = mid
             if a_hi - a_lo <= 1e-14 * max(1.0, a_hi):
                 break
         alpha = 0.5 * (a_lo + a_hi)
-        e = expected_cluster_count(n_total, max(alpha, 1e-300), d)
+        e = expected_cluster_count(n_total, max(alpha, 1e-300), d, steps)
         if abs(e - expected_speakers) <= FIT_REL_TOL * expected_speakers:
             candidates.append((alpha, d))
 

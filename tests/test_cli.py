@@ -490,6 +490,20 @@ class TestErrorsAndUsage:
         assert run(argv.format(**paths).split()) == 2
         assert "[data]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        "diarize --corpus {bad} --model {model} --out {tmp}/h.rttm",
+        "diarize --corpus {corpus} --model {bad} --out {tmp}/h.rttm",
+        "score --ref {bad} --hyp {ref}",
+        "selftest --config {bad}"])
+    def test_non_utf8_file_is_named(self, workdir, tmp_path, capsys, argv):
+        """Each text input that does not decode names its file."""
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\x00rec\n")
+        paths = {"tmp": tmp_path, "bad": bad, "corpus": workdir / "corpus.tsv",
+                 "model": workdir / "model.txt", "ref": workdir / "ref.rttm"}
+        assert run(argv.format(**paths).split()) == 2
+        assert f"[data] {bad} is not UTF-8 text" in capsys.readouterr().err
+
 
 def _error_classes(cls=ProbdiarError):
     return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]

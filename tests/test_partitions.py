@@ -1,6 +1,7 @@
 """Partition enumeration, the Pitman-Yor prior, sparse tables and prior
-fitting.  Oracles: independent exhaustive enumeration/summation and a
-from-scratch seat-by-seat Monte Carlo cluster-count sampler."""
+fitting.  Oracles: independent exhaustive enumeration/summation, a
+from-scratch seat-by-seat Monte Carlo cluster-count sampler, and the
+one-row-at-a-time loops of `partition_loop` for bit identity."""
 
 import itertools
 import math
@@ -15,7 +16,13 @@ from probdiar.partitions import (ALPHA_MAX, CrpParams, bell_number, build_tables
                                  canonicalize, cluster_count_variance, crp_log_prob,
                                  enumerate_rgs, expected_cluster_count, fit_crp)
 
-BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]  # B_0..B_10
+from . import partition_loop
+
+BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570]  # B_0..B_11
+# (1e-12, 0.95) is the extreme of fit_crp's grid; the third is the prior that
+# the train benchmark fits
+LOOP_PRIORS = [CrpParams(1.0, 0.0), CrpParams(1e-12, 0.95),
+               CrpParams(0.12146013229445346, 0.65), CrpParams(3.7, 0.3)]
 
 
 def oracle_rgs(n):
@@ -61,6 +68,10 @@ class TestEnumerateRgs:
     def test_matches_exhaustive_oracle(self):
         for n in range(1, 7):
             assert enumerate_rgs(n) == oracle_rgs(n)
+
+    def test_matches_recursive_enumerator(self):
+        for n in range(1, 10):
+            assert enumerate_rgs(n) == partition_loop.enumerate_rgs(n)
 
     def test_lexicographic_order(self):
         for n in (4, 6):
@@ -116,6 +127,15 @@ class TestCrpLogProb:
                                        for labels in enumerate_rgs(n)])
                     assert abs(total) < 1e-12
 
+    @pytest.mark.parametrize("labels", [(7, 7, 3, 7, 3, 9), (2, 1, 2, 1), ("b", "a", "b"),
+                                        (5,), ()])
+    def test_matches_seating_loop_on_any_labels(self, labels):
+        # non-canonical labels score as their partition; the empty one as 0.0
+        for params in LOOP_PRIORS:
+            got = crp_log_prob(labels, params)
+            assert type(got) is float
+            assert got == partition_loop.crp_log_prob(labels, params)
+
     def test_invalid_params(self):
         with pytest.raises(DomainError):
             CrpParams(-1.0, 0.0)
@@ -152,6 +172,31 @@ class TestTables:
         for i, labels in enumerate(tables.rgs):
             assert tables.rgs_index(labels) == i
 
+    @pytest.mark.parametrize("prior", LOOP_PRIORS)
+    def test_bit_identical_to_row_loops(self, prior):
+        for n in range(1, 10):
+            tables = build_tables(n, prior)
+            rgs = partition_loop.enumerate_rgs(n)
+            assert tables.rgs == tuple(rgs)
+            assert np.array_equal(tables.log_prior.view(np.int64),
+                                  partition_loop.log_prior(rgs, prior).view(np.int64))
+            want = partition_loop.part_subset(rgs, n)
+            assert tables.part_subset.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                got, ref = getattr(tables.part_subset, name), getattr(want, name)
+                assert got.dtype == ref.dtype, name
+                assert np.array_equal(got, ref), name
+
+    def test_n10(self):
+        tables = build_tables(10, CrpParams(1.0, 0.1))
+        assert tables.n_partitions == BELL[10]
+        # each partition of 10 items with its clusters is a partition of 11
+        # items whose last item is a singleton or joins one cluster
+        assert tables.part_subset.nnz == BELL[11] - BELL[10]
+        assert abs(logsumexp(tables.log_prior)) < 1e-12
+        for r in np.random.default_rng(0).integers(0, BELL[10], size=200):
+            assert tables.rgs_index(tables.rgs[r]) == r
+
     def test_unnormalized_prior_is_domain_error(self, monkeypatch):
         # an explicit check, not an assert, so it also holds under python -O
         monkeypatch.setattr(partitions, "logsumexp", lambda x: 1.0)
@@ -170,6 +215,17 @@ class TestExpectedClusterCount:
 
     def test_single_item(self):
         assert expected_cluster_count(1, 1.0, 0.0) == pytest.approx(1.0)
+
+    def test_float_steps_bit_identical_to_range_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 1000))
+            alpha = float(10.0 ** rng.uniform(-12, 6))
+            d = float(rng.choice(partitions.FIT_DISCOUNT_GRID))
+            want = partition_loop.expected_cluster_count(n, alpha, d)
+            steps = [float(t) for t in range(1, n)]
+            assert expected_cluster_count(n, alpha, d) == want
+            assert expected_cluster_count(n, alpha, d, steps) == want
 
     def test_mc_sampler_agrees(self):
         n, alpha, d, n_samples = 8, 1.0, 0.3, 200_000
@@ -221,6 +277,9 @@ class TestFitCrp:
 
     @pytest.mark.parametrize("n_total, target, alpha, d", [
         (720, 93, 0.23839630555907199, 0.65),
+        (720, 87, 0.12146013229445346, 0.65),
+        (720, 98, 0.3460720981400291, 0.65),
+        (720, 92, 0.21800272957616146, 0.65),
         (8, 3.0, 0.0659309807442072, 0.45),
         (24, 4.0, 0.0003392415919067969, 0.4)])
     def test_pinned_outputs(self, n_total, target, alpha, d):
