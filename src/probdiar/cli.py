@@ -147,7 +147,7 @@ def cmd_score(args):
     agg = aggregate_der(reports)
     print(report_table(agg))
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("recording\tmiss\tfalarm\tconfusion\tder\n")
             for rec in sorted(agg.per_recording):
                 m, f, c, tot = agg.per_recording[rec]

@@ -100,7 +100,7 @@ def read_rttm(path) -> dict[str, Timeline]:
 def write_rttm(path, timelines):
     """Write an iterable of Timeline as RTTM, 3-decimal times, sorted by
     recording id then onset."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for tl in sorted(timelines, key=lambda t: t.rec_id):
             for turn in sorted(tl.turns, key=lambda t: (t.start, t.speaker)):
                 fh.write(f"SPEAKER {tl.rec_id} 1 {turn.start:.3f} {turn.duration:.3f} "

@@ -17,8 +17,7 @@ MODEL_FORMAT_VERSION = 1
 
 
 def text_lines(path):
-    """Yield the lines of the UTF-8 text file `path`.  Bytes that do not
-    decode are a DataError that names the file."""
+    """Yield the lines of UTF-8 text file `path`; a DataError names it if not UTF-8."""
     with open(path, encoding="utf-8") as fh:
         try:
             yield from fh
@@ -39,7 +38,7 @@ def _write_matrix(fh, name, m):
 
 def save_model(path, model: ExtractorModel, plda: DiagPlda):
     """Write the extractor and diagonal PLDA to a structured text file."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"format_version {MODEL_FORMAT_VERSION}\n")
         fh.write(f"dim {model.dim}\n")
         fh.write(f"raw_dim {model.raw_dim}\n")
@@ -106,7 +105,7 @@ def load_model(path) -> tuple[ExtractorModel, DiagPlda]:
 # reads "train" Recordings.
 
 def save_corpus(path, corpus):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for rec in corpus:
             for t, sr in enumerate(rec.records):
                 raw = ",".join(f"{x:.17g}" for x in sr.raw)
@@ -164,7 +163,7 @@ def load_corpus(path) -> list[Recording]:
 
 def save_history(path, history):
     """Loss history as a tab-delimited table: epoch, train CE, held-out CE."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch\ttrain_ce\theldout_ce\n")
         for epoch, train_ce, heldout_ce in history:
             fh.write(f"{epoch}\t{train_ce:.17g}\t{heldout_ce:.17g}\n")

@@ -91,8 +91,8 @@ class CrpParams:
 
 def _log_prior(rgs: np.ndarray, params: CrpParams) -> np.ndarray:
     """Seating-process log probability of each row of a (B x n) array of
-    restricted growth strings: one `math.log` term per seat, added in seat
-    order from 0.0, as a seat-by-seat loop over one row adds them."""
+    restricted growth strings: per seat t, `math.log(x) - math.log(alpha + t)`
+    with one `math.log` per distinct x, added in seat order from 0.0."""
     alpha, d = params.concentration, params.discount
     rows = np.arange(len(rgs))
     counts = np.zeros((len(rgs), rgs.shape[1] + 1), dtype=np.int64)  # sizes by label
@@ -100,11 +100,13 @@ def _log_prior(rgs: np.ndarray, params: CrpParams) -> np.ndarray:
     top = np.maximum.accumulate(rgs, axis=1)   # clusters open after each seat
     logp = np.zeros(len(rgs))
     for t in range(1, rgs.shape[1]):
-        den = math.log(alpha + t)
-        join = np.array([0.0] + [math.log(c - d) - den for c in range(1, t + 1)])
-        new = np.array([0.0] + [math.log(alpha + k * d) - den for k in range(1, t + 1)])
         label, k = rgs[:, t], top[:, t - 1]
-        logp += np.where(label > k, new[k], join[counts[rows, label]])
+        # t + K for a seat that opens cluster K + 1, t - size for one that joins
+        key = t + np.where(label > k, k, -counts[rows, label])
+        log_x = np.zeros(2 * t + 1)
+        for v in np.flatnonzero(np.bincount(key)).tolist():
+            log_x[v] = math.log(alpha + (v - t) * d if v > t else (t - v) - d)
+        logp += log_x[key] - math.log(alpha + t)
         counts[rows, label] += 1
     return logp
 
@@ -191,16 +193,20 @@ def build_tables(n: int, prior: CrpParams) -> PartitionTables:
     )
 
 
-def expected_cluster_count(n: int, concentration: float, discount: float,
-                           steps: list[float] | None = None) -> float:
+def expected_cluster_count(n: int, concentration: float, discount: float) -> float:
     """Exact E[number of clusters] after seating n customers.
 
     The open-new-cluster probability is affine in the current cluster count,
-    so the expectation obeys a closed one-step recurrence.  `steps`, the
-    floats 1.0 .. n - 1.0, saves a caller at one n a conversion per step.
+    so the expectation obeys a closed one-step recurrence.
     """
+    return _expected_count(np.arange(1.0, n).tolist(), concentration, discount)
+
+
+def _expected_count(steps: list[float], concentration: float, discount: float) -> float:
+    """The recurrence over seats `steps` = 1.0 .. n - 1.0: exact floats skip an
+    int conversion per step, and `fit_crp` builds them once per call."""
     e = 1.0
-    for t in range(1, n) if steps is None else steps:
+    for t in steps:
         e += (concentration + discount * e) / (concentration + t)
     return e
 
@@ -247,14 +253,14 @@ def fit_crp(n_total: int, expected_speakers: float) -> CrpParams:
         raise DomainError(
             f"expected_speakers must be in [1, {n_total}], got {expected_speakers}")
 
-    steps = [float(t) for t in range(1, n_total)]
+    steps = np.arange(1.0, n_total).tolist()
     candidates = []
     for d in FIT_DISCOUNT_GRID:
         lo = 1e-12 if d == 0 else 0.0
-        e_lo = expected_cluster_count(n_total, max(lo, 1e-12), d, steps)
+        e_lo = _expected_count(steps, max(lo, 1e-12), d)
         if e_lo > expected_speakers * (1 + FIT_REL_TOL):
             continue
-        e_hi = expected_cluster_count(n_total, ALPHA_MAX, d, steps)
+        e_hi = _expected_count(steps, ALPHA_MAX, d)
         if e_hi < expected_speakers:
             # target only reachable as alpha -> inf: clip
             warnings.warn(
@@ -265,14 +271,14 @@ def fit_crp(n_total: int, expected_speakers: float) -> CrpParams:
         a_lo, a_hi = lo, ALPHA_MAX
         for _ in range(200):
             mid = 0.5 * (a_lo + a_hi)
-            if expected_cluster_count(n_total, max(mid, 1e-300), d, steps) < expected_speakers:
+            if _expected_count(steps, max(mid, 1e-300), d) < expected_speakers:
                 a_lo = mid
             else:
                 a_hi = mid
             if a_hi - a_lo <= 1e-14 * max(1.0, a_hi):
                 break
         alpha = 0.5 * (a_lo + a_hi)
-        e = expected_cluster_count(n_total, max(alpha, 1e-300), d, steps)
+        e = _expected_count(steps, max(alpha, 1e-300), d)
         if abs(e - expected_speakers) <= FIT_REL_TOL * expected_speakers:
             candidates.append((alpha, d))
 

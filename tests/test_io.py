@@ -1,5 +1,11 @@
 """Structured text I/O: models, corpora, history tables."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -140,3 +146,39 @@ class TestHistory:
         assert lines[0] == "epoch\ttrain_ce\theldout_ce"
         assert lines[1].split("\t") == ["0", "1.5", "2.5"]
         assert len(lines) == 3
+
+
+ROUND_TRIP = textwrap.dedent(r"""
+    import dataclasses, locale, sys
+    from pathlib import Path
+    import probdiar as pd
+    from probdiar.cli import run
+    from probdiar.evalkit import Timeline, Turn, read_rttm, write_rttm
+    from probdiar.io import load_corpus, save_corpus
+    assert locale.getpreferredencoding(False).lower() not in ("utf-8", "utf8")
+    d, rec_id = Path(sys.argv[1]), "r\u00e9union-\u00df"
+    rec = pd.generate_corpus(pd.SyntheticConfig(
+        n_recordings=1, segments_per_recording=3, seed=0)).recordings[0]
+    save_corpus(d / "c.tsv", [dataclasses.replace(rec, rec_id=rec_id)])
+    assert load_corpus(d / "c.tsv")[0].rec_id == rec_id
+    tl = Timeline(rec_id, (Turn(0.0, 1.0, "spk-\u00e9"),))
+    write_rttm(d / "r.rttm", [tl])
+    assert read_rttm(d / "r.rttm") == {rec_id: tl}
+    assert run(["score", "--ref", str(d / "r.rttm"), "--hyp", str(d / "r.rttm"),
+                "--out", str(d / "der.tsv")]) == 0
+""")
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """Under an ASCII locale, a corpus, an RTTM and a DER table with a
+    non-ASCII recording id are written as UTF-8 and the readers read them
+    back."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONIOENCODING="utf-8", PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", ROUND_TRIP, str(tmp_path)], env=env,
+                          capture_output=True, text=True, encoding="utf-8", timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rec_id = "r\u00e9union-\u00df"
+    for name in ("c.tsv", "r.rttm", "der.tsv"):
+        assert rec_id in (tmp_path / name).read_text(encoding="utf-8")

@@ -5,6 +5,7 @@ one-row-at-a-time loops of `partition_loop` for bit identity."""
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,6 +137,17 @@ class TestCrpLogProb:
             assert type(got) is float
             assert got == partition_loop.crp_log_prob(labels, params)
 
+    def test_long_labelling_takes_two_logs_per_seat(self, monkeypatch):
+        # a recording-length labelling: bit-identical, and linear in logs
+        labels = np.random.default_rng(3).integers(0, 5, size=720).tolist()
+        for params in LOOP_PRIORS:
+            assert crp_log_prob(labels, params) == partition_loop.crp_log_prob(labels, params)
+        calls = []
+        monkeypatch.setattr(partitions, "math", SimpleNamespace(
+            log=lambda x: calls.append(x) or math.log(x)))
+        crp_log_prob(labels, LOOP_PRIORS[2])
+        assert len(calls) == 2 * (len(labels) - 1)
+
     def test_invalid_params(self):
         with pytest.raises(DomainError):
             CrpParams(-1.0, 0.0)
@@ -223,9 +235,7 @@ class TestExpectedClusterCount:
             alpha = float(10.0 ** rng.uniform(-12, 6))
             d = float(rng.choice(partitions.FIT_DISCOUNT_GRID))
             want = partition_loop.expected_cluster_count(n, alpha, d)
-            steps = [float(t) for t in range(1, n)]
             assert expected_cluster_count(n, alpha, d) == want
-            assert expected_cluster_count(n, alpha, d, steps) == want
 
     def test_mc_sampler_agrees(self):
         n, alpha, d, n_samples = 8, 1.0, 0.3, 200_000
