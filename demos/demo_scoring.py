@@ -28,7 +28,7 @@ confident = [ProbEmbedding(x, prec=np.full(3, 50.0)) for x in xhats]
 post = np.exp(clustering_log_posterior(confident, plda, tables))
 print("confident embeddings -- top clusterings:")
 for i in np.argsort(-post)[:3]:
-    print(f"   p{tables.rgs[i]} = {post[i]:.4f}")
+    print(f"   p{tuple(tables.rgs[i].tolist())} = {post[i]:.4f}")
 
 # --- uncertainty changes the answer --------------------------------------
 
@@ -39,7 +39,7 @@ shaky = list(confident[:2]) + [ProbEmbedding(x, prec=np.full(3, 0.05))
 post = np.exp(clustering_log_posterior(shaky, plda, tables))
 print("\nsame means, unreliable second speaker -- top clusterings:")
 for i in np.argsort(-post)[:3]:
-    print(f"   p{tables.rgs[i]} = {post[i]:.4f}")
+    print(f"   p{tuple(tables.rgs[i].tolist())} = {post[i]:.4f}")
 
 # Zero precision means a segment is ignored entirely: with every precision
 # at zero the posterior equals the prior, exactly.

@@ -37,8 +37,8 @@ class Turn:
     speaker: str
 
     def __post_init__(self):
-        if not (np.isfinite(self.start) and np.isfinite(self.duration)):
-            raise DomainError("turn times must be finite")
+        if not np.isfinite(self.end):   # finite only if start and duration are
+            raise DomainError("turn start, duration and end must be finite")
         if not self.duration > 0:
             raise DomainError("turn duration must be positive")
         if not self.speaker:
@@ -131,8 +131,12 @@ def _scored_pieces(ref: Timeline, hyp: Timeline, collar: float, exact: bool):
         bounds = np.array(sorted(b for b in bounds if start <= b <= end))
         a, b = bounds[:-1], bounds[1:]
     else:
-        a = np.arange(start, end, FRAME_STEP)
-        b = a + FRAME_STEP
+        try:
+            a = np.arange(start, end, FRAME_STEP)
+            b = a + FRAME_STEP
+        except (ValueError, MemoryError) as exc:
+            raise ScoringError(f"cannot build the {FRAME_STEP:g}-s frame grid over "
+                               f"{start!r}..{end!r} s: {exc}") from None
     mid = 0.5 * (a + b)
     scored = np.ones(mid.size, dtype=bool)
     for lo, hi in zones:

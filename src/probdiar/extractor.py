@@ -32,6 +32,8 @@ INIT_MARGIN_SAFETY = 1.05
 QUALITY_NOISE_STD = 0.05
 # bounds of the uniform synthetic segment durations, in seconds
 DURATION_BOUNDS = (0.5, 2.0)
+LOG_NOISE_VAR_BOUNDS = (-4.0, 2.5)   # of the uniform synthetic log sigma^2(q)
+WITHIN_SCALE = 0.3   # synthetic within-speaker vs unit between-speaker spread
 # synthetic quality features: a noisy noise-level encoding and the duration
 QUALITY_DIM = 2
 
@@ -175,8 +177,6 @@ class SyntheticConfig:
     segments_per_recording: int = 24
     min_speakers: int = 2
     max_speakers: int = 4
-    log_noise_var_range: tuple = (-4.0, 2.5)   # log sigma^2(q), uniform
-    within_scale: float = 0.3       # within-speaker vs unit between-speaker spread
     holdout_fraction: float = 0.25  # recordings reserved as a held-out split
     seed: int = 0
 
@@ -288,7 +288,7 @@ def generate_corpus(cfg: SyntheticConfig) -> Corpus:
 
     Speakers are drawn per recording from N(0, between_cov); clean vectors
     from N(speaker, within_cov); observations add isotropic noise with
-    per-segment variance sigma^2(q), log-uniform over the configured range.
+    per-segment variance sigma^2(q), log-uniform over LOG_NOISE_VAR_BOUNDS.
     Quality features are a noisy encoding of the per-segment noise level plus
     the segment duration.
     """
@@ -297,7 +297,7 @@ def generate_corpus(cfg: SyntheticConfig) -> Corpus:
     rng = np.random.default_rng(ss_model)
 
     between = _random_spd(rng, cfg.dim, (0.5, 2.0))
-    within = _random_spd(rng, cfg.dim, (0.5, 2.0)) * cfg.within_scale ** 2
+    within = _random_spd(rng, cfg.dim, (0.5, 2.0)) * WITHIN_SCALE ** 2
     full = FullPlda(between_cov=between, within_cov=within)
     chol_b = np.linalg.cholesky(between)
     chol_w = np.linalg.cholesky(within)
@@ -316,7 +316,7 @@ def generate_corpus(cfg: SyntheticConfig) -> Corpus:
             if n_seg >= n_spk else rrng.integers(0, n_spk, size=n_seg)
         rrng.shuffle(spk_idx)
 
-        log_var = rrng.uniform(*cfg.log_noise_var_range, size=n_seg)
+        log_var = rrng.uniform(*LOG_NOISE_VAR_BOUNDS, size=n_seg)
         sigma = np.exp(0.5 * log_var)
         durations = rrng.uniform(*DURATION_BOUNDS, size=n_seg)
 

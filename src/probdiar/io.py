@@ -100,7 +100,8 @@ def load_model(path) -> tuple[ExtractorModel, DiagPlda]:
 
 # Corpus files: one segment per line, tab-separated fields in this order:
 #   recording-id  segment-id  start  duration  raw-vector  quality-vector  speaker
-# Vectors are comma-separated decimal numbers; starts are finite and >= 0.
+# Vectors are comma-separated decimal numbers; starts are finite and >= 0, and
+# start + duration is finite.
 # save_corpus writes any iterable of Recording, such as a Corpus; load_corpus
 # reads "train" Recordings.
 
@@ -136,9 +137,9 @@ def load_corpus(path) -> list[Recording]:
             record = SegmentRecord(raw=raw, quality=qual, duration=dur)
         except ValueError as exc:   # DomainError included
             raise ParseError(f"malformed numeric field: {exc}", line=lineno) from exc
-        if not (np.isfinite(start) and start >= 0):
-            raise ParseError(f"segment start must be finite and nonnegative, "
-                             f"got {start_s!r}", line=lineno)
+        if not (start >= 0 and np.isfinite(start + dur)):
+            raise ParseError(f"segment start must be finite and nonnegative, and its "
+                             f"end finite, got {start_s!r} + {dur_s!r}", line=lineno)
         if raw_dim is None:
             raw_dim, qual_dim = raw.size, qual.size
         elif (raw.size, qual.size) != (raw_dim, qual_dim):

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import logsumexp
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, ShapeError, SizeError
 
 MAX_BELL_N = 16
 MAX_TABLE_N = 12
@@ -127,6 +127,8 @@ def crp_log_prob(labels, params: CrpParams) -> float:
 class PartitionTables:
     """Everything needed to score all B_n clusterings of an n-tuple.
 
+    `rgs` is the B_n-by-n int64 array of restricted growth strings in
+    lexicographic order, and `rgs_index` is a string's rank in it.
     `seg_subset` is n-by-(2^n - 1): column c marks the segments in nonempty
     subset c+1 (bitmask order); it is a dense C-ordered 0/1 float64 array.
     `part_subset` is B_n-by-(2^n - 1): row r marks the subsets that are the
@@ -134,11 +136,10 @@ class PartitionTables:
     """
 
     n: int
-    rgs: tuple[tuple[int, ...], ...]
+    rgs: np.ndarray
     log_prior: np.ndarray
     seg_subset: np.ndarray = field(repr=False)
     part_subset: sp.csr_matrix = field(repr=False)
-    index: dict = field(repr=False)
 
     @property
     def n_subsets(self) -> int:
@@ -148,9 +149,22 @@ class PartitionTables:
     def n_partitions(self) -> int:
         return len(self.rgs)
 
-    def rgs_index(self, labels) -> int:
-        """Row index of a (canonical) label string in the RGS list."""
-        return self.index[tuple(labels)]
+    def rgs_index(self, labels):
+        """Row of a restricted growth string in `rgs`, or rows of a (B x n) array
+        of them: the rank sum over t of (labels[t] - 1) * W[n - 1 - t, max before t],
+        where W[r, m] counts the ways to add r labels under a running max of m."""
+        labels = np.asarray(labels)
+        if labels.ndim not in (1, 2) or labels.shape[-1] != self.n:
+            raise ShapeError(f"labellings of shape {labels.shape} for {self.n}-tuples")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise DomainError(f"labels must be integers, got {labels.dtype}")
+        top = np.maximum.accumulate(np.insert(labels, 0, 0, axis=-1)[..., :-1], axis=-1)
+        if not np.all((labels >= 1) & (labels <= top + 1)):
+            raise DomainError("labellings must be restricted growth strings")
+        w = np.ones((self.n, self.n + 1), dtype=np.int64)
+        for r in range(1, self.n):
+            w[r, :-1] = np.arange(self.n) * w[r - 1, :-1] + w[r - 1, 1:]
+        return np.sum((labels - 1) * w[np.arange(self.n)[::-1], top], axis=-1)
 
 
 def build_tables(n: int, prior: CrpParams) -> PartitionTables:
@@ -182,15 +196,8 @@ def build_tables(n: int, prior: CrpParams) -> PartitionTables:
     part_subset = sp.csr_matrix((np.ones(indptr[-1]), masks[masks > 0] - 1, indptr),
                                 shape=(len(rgs), n_cols))
 
-    rgs = tuple(map(tuple, rgs.tolist()))
-    return PartitionTables(
-        n=n,
-        rgs=rgs,
-        log_prior=log_prior,
-        seg_subset=seg_subset,
-        part_subset=part_subset,
-        index=dict(zip(rgs, range(len(rgs)))),
-    )
+    return PartitionTables(n=n, rgs=rgs, log_prior=log_prior, seg_subset=seg_subset,
+                           part_subset=part_subset)
 
 
 def expected_cluster_count(n: int, concentration: float, discount: float) -> float:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .clustering import AhcConfig, ahc, cuts, merge_trace
-from .evalkit import DerReport, Timeline, Turn, aggregate_der, der, relabel_scorer
+from .evalkit import DerReport, Timeline, Turn, aggregate_der, relabel_scorer
 from .extractor import ExtractorModel, extract_batch
 from .plda import DiagPlda
 
@@ -40,14 +40,12 @@ def diarize_corpus(recordings, model: ExtractorModel, plda: DiagPlda,
 
 def evaluate(recordings, model: ExtractorModel, plda: DiagPlda,
              cfg: AhcConfig) -> DerReport:
-    """Diarize and score a set of recordings; returns the aggregate report."""
-    hyps = diarize_corpus(recordings, model, plda, cfg)
-    reports = [der(reference_timeline(rec), hyps[rec.rec_id]) for rec in recordings]
-    return aggregate_der(reports)
+    """Aggregate DER report of the recordings diarized under one config."""
+    return _sweep_ders(recordings, [cfg], model, plda)[0]
 
 
 def _sweep_ders(recordings, cfgs, model: ExtractorModel, plda: DiagPlda):
-    """Aggregate DER of the recordings under each config.  The configs of
+    """Aggregate DER report of the recordings under each config.  The configs of
     one likelihood scale are cut from one replay of one merge trace; equal
     labels share one report, all labellings of a recording share its
     atoms and reference terms, and configs with the same reports share one
@@ -67,8 +65,8 @@ def _sweep_ders(recordings, cfgs, model: ExtractorModel, plda: DiagPlda):
                     scored[labels] = score(_speakers(labels))
                 reports[k].append(scored[labels])
     keys = [tuple(map(id, reps)) for reps in reports]
-    ders = {key: aggregate_der(reps).der for key, reps in dict(zip(keys, reports)).items()}
-    return [ders[key] for key in keys]
+    aggs = {key: aggregate_der(reps) for key, reps in dict(zip(keys, reports)).items()}
+    return [aggs[key] for key in keys]
 
 
 def sweep(param: str, values, dev_recordings, eval_recordings,
@@ -83,9 +81,9 @@ def sweep(param: str, values, dev_recordings, eval_recordings,
     values = [float(v) for v in values]
     field = "sigma" if param == "sigma" else "likelihood_scale"
     cfgs = [replace(base_cfg, **{field: v}) for v in values]
-    dev = _sweep_ders(dev_recordings, cfgs, model, plda)
-    evl = _sweep_ders(eval_recordings, cfgs, model, plda) if eval_recordings \
-        else [float("nan")] * len(cfgs)
+    dev = [r.der for r in _sweep_ders(dev_recordings, cfgs, model, plda)]
+    evl = [r.der for r in _sweep_ders(eval_recordings, cfgs, model, plda)] \
+        if eval_recordings else [float("nan")] * len(cfgs)
     rows = list(zip(values, dev, evl))
     best = min(rows, key=lambda r: r[1])[0]
     return rows, best

@@ -46,7 +46,6 @@ class TrainConfig:
     epochs: int = 300
     seed: int = 0
     crp: CrpParams | None = None  # fitted to the corpus when None
-    momentum: float = 0.0
     train_net: bool = True      # False freezes the precision net (PLDA-only mode)
     check: bool = False         # gradient-check gate before training
     margin: float = 10.0        # saturation margin of the initial precisions;
@@ -56,8 +55,6 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 <= self.lr_net < np.inf or not 0 < self.lr_ratio <= 1:
             raise DomainError("lr_net must be finite and nonnegative, lr_ratio in (0, 1]")
-        if not 0 <= self.momentum < 1:
-            raise DomainError("momentum must be in [0, 1)")
         if self.batch_size < 1 or self.n < 2 or self.epochs < 0:
             raise DomainError("batch_size, n and epochs out of range")
 
@@ -89,8 +86,7 @@ def _batch_arrays(batch, tables: PartitionTables):
         raise DataError("batch has no tuples")
     raw = np.stack([[r.raw for r in trial.records] for trial in batch])
     quality = np.stack([[r.quality for r in trial.records] for trial in batch])
-    truth = np.array([tables.rgs_index(trial.truth) for trial in batch])
-    return raw, quality, truth
+    return raw, quality, tables.rgs_index([trial.truth for trial in batch])
 
 
 # tuples scored at once by `_forward_backward`.  A workspace of this many
@@ -370,7 +366,6 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
                 raise TrainingError(f"gradient check failed: rel error {err:.2e}")
 
     params = _get_params(model, plda)
-    velocity = {k: np.zeros_like(v) for k, v in params.items()}
     slow = {"log_w", "A"}
     frozen = set() if cfg.train_net else {"W1", "b1", "W2", "b2"}
 
@@ -400,8 +395,7 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
                 if name in frozen:
                     continue
                 lr = cfg.lr_net * (cfg.lr_ratio if name in slow else 1.0)
-                velocity[name] = cfg.momentum * velocity[name] - lr * grad
-                params[name] = params[name] + velocity[name]
+                params[name] = params[name] - lr * grad
             try:
                 model_c, plda_c = _set_params(params)
             except (DomainError, FloatingPointError) as exc:

@@ -180,6 +180,25 @@ class TestScore:
                     "--hyp", str(hyp)]) == 2
         assert "line 2: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("start, duration, code, message", [
+        ("0", "1e308", 3, "[numeric] cannot build the 0.01-s frame grid over 0.0..1e+308"),
+        ("1e308", "1e308", 2, "[data] line 2: malformed numeric field: turn start")])
+    def test_huge_turn_fails_with_its_code(self, workdir, tmp_path, capsys,
+                                           start, duration, code, message):
+        """A turn whose frame grid cannot be built is a numeric error; one
+        whose end overflows is a parse error."""
+        lines = (workdir / "ref.rttm").read_text().splitlines()
+        parts = lines[1].split()
+        parts[3:5] = start, duration
+        lines[1] = " ".join(parts)
+        ref = tmp_path / "ref.rttm"
+        ref.write_text("\n".join(lines) + "\n")
+        assert run(["score", "--ref", str(ref), "--hyp", str(workdir / "ref.rttm")]) \
+            == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestSweep:
     def test_table_columns(self, workdir, capsys):
@@ -216,6 +235,22 @@ class TestSweep:
                     "--param", "scale", "--values=1,1e300"]) == 3
         captured = capsys.readouterr()
         assert "[numeric] likelihood_scale 1e+300 overflows" in captured.err
+        assert captured.out == ""
+
+    def test_huge_segment_is_numeric_error(self, workdir, tmp_path, capsys):
+        """A segment too long for the 10 ms scoring grid names the span."""
+        lines = (workdir / "corpus.tsv").read_text().splitlines()
+        parts = lines[2].split("\t")
+        parts[3] = "1e308"
+        lines[2] = "\t".join(parts)
+        corpus = tmp_path / "huge.tsv"
+        corpus.write_text("\n".join(lines) + "\n")
+        assert run(["sweep", "--corpus", str(corpus),
+                    "--model", str(workdir / "model.txt"),
+                    "--param", "sigma", "--values=0"]) == 3
+        captured = capsys.readouterr()
+        assert "[numeric] cannot build the 0.01-s frame grid over 0.0..1e+308 s" \
+            in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("values", ["1,abc", "1,,2"])
@@ -406,11 +441,12 @@ class TestErrorsAndUsage:
         capsys.readouterr()
 
     @pytest.mark.parametrize("field, value", [(2, "nan"), (2, "-5"), (2, "-1e-9"),
-                                              (3, "0"), (4, "nan,0.2,0.3,0.4")])
+                                              (3, "0"), (4, "nan,0.2,0.3,0.4"),
+                                              (3, "inf")])
     def test_bad_corpus_value_is_parse_error(self, workdir, tmp_path, capsys,
                                              field, value):
-        """A NaN or negative start, a zero duration or a NaN raw value names
-        its line (exit 2)."""
+        """A NaN or negative start, a zero duration, a NaN raw value or an end
+        that overflows names its line (exit 2)."""
         lines = (workdir / "corpus.tsv").read_text().splitlines()
         parts = lines[2].split("\t")
         parts[field] = value

@@ -53,6 +53,12 @@ class TestTurn:
         with pytest.raises(DomainError):
             Turn(0.0, 1.0, "")
 
+    @pytest.mark.parametrize("start, duration", [(np.nan, 1.0), (0.0, np.inf),
+                                                 (1e308, 1e308), (-np.inf, np.inf)])
+    def test_times_and_end_must_be_finite(self, start, duration):
+        with pytest.raises(DomainError, match="must be finite"):
+            Turn(start, duration, "a")
+
 
 class TestDerExamples:
     def test_perfect_hypothesis(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import probdiar as pd
+from probdiar import extractor
 from probdiar.errors import DomainError, ShapeError
 from probdiar.extractor import (QUALITY_DIM, Corpus, ExtractorModel, PrecisionNet,
                                 Recording, SegmentRecord, SyntheticConfig,
@@ -175,12 +176,12 @@ class TestGenerateCorpus:
         assert len(corpus.heldout_recordings) == 2
         assert len(corpus.train_recordings) == 6
 
-    def test_noiseless_limit_plugin_optimal(self, tables_by_n):
+    def test_noiseless_limit_plugin_optimal(self, monkeypatch):
         """With no segment noise the oracle precisions blow up and plug-in
         clustering recovers the truth."""
-        cfg = SyntheticConfig(n_recordings=4, segments_per_recording=8,
-                              log_noise_var_range=(-60.0, -60.0),
-                              within_scale=0.05, seed=3)
+        monkeypatch.setattr(extractor, "LOG_NOISE_VAR_BOUNDS", (-60.0, -60.0))
+        monkeypatch.setattr(extractor, "WITHIN_SCALE", 0.05)
+        cfg = SyntheticConfig(n_recordings=4, segments_per_recording=8, seed=3)
         corpus = generate_corpus(cfg)
         model, plda = init_extractor(corpus.full_plda, seed=0, margin=100.0,
                                      quality_dim=QUALITY_DIM)
@@ -190,12 +191,13 @@ class TestGenerateCorpus:
                             pd.AhcConfig(mode="by_the_book", sigma=0.0))
             assert labels == rec.labels
 
-    def test_speaker_covariance_law_of_large_numbers(self):
+    def test_speaker_covariance_law_of_large_numbers(self, monkeypatch):
         """After diagonalization the speaker variable is standard normal: the
         sample covariance over 1e5 (near-noiseless) speakers is I within 2%."""
+        monkeypatch.setattr(extractor, "LOG_NOISE_VAR_BOUNDS", (-60.0, -60.0))
+        monkeypatch.setattr(extractor, "WITHIN_SCALE", 1e-6)
         cfg = SyntheticConfig(dim=4, n_recordings=50_000, segments_per_recording=2,
-                              min_speakers=2, max_speakers=2, within_scale=1e-6,
-                              log_noise_var_range=(-60.0, -60.0),
+                              min_speakers=2, max_speakers=2,
                               holdout_fraction=0.0, seed=7)
         corpus = generate_corpus(cfg)
         t, _ = joint_diagonalize(corpus.full_plda)
@@ -258,9 +260,9 @@ class TestCorpus:
 
 
 class TestEstimateFullPlda:
-    def test_recovers_generating_model(self):
-        cfg = SyntheticConfig(n_recordings=400, segments_per_recording=12,
-                              log_noise_var_range=(-60.0, -60.0), seed=9,
+    def test_recovers_generating_model(self, monkeypatch):
+        monkeypatch.setattr(extractor, "LOG_NOISE_VAR_BOUNDS", (-60.0, -60.0))
+        cfg = SyntheticConfig(n_recordings=400, segments_per_recording=12, seed=9,
                               holdout_fraction=0.0)
         corpus = generate_corpus(cfg)
         est = estimate_full_plda(corpus.recordings)

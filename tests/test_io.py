@@ -129,6 +129,14 @@ class TestCorpusIo:
             load_corpus(path)
         assert exc_info.value.line == 2
 
+    def test_overflowing_end_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("rec\ts0\t0.0\t1.0\t1,2\t0.5\t1\n"
+                        "rec\ts1\t1e308\t1e308\t1,2\t0.5\t1\n")
+        with pytest.raises(ParseError, match="end finite") as exc_info:
+            load_corpus(path)
+        assert exc_info.value.line == 2
+
     def test_segments_sorted_by_onset(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("rec\ts1\t2.0\t1.0\t1.0\t0.5\t2\n"

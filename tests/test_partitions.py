@@ -12,7 +12,7 @@ import pytest
 from scipy.special import logsumexp
 
 from probdiar import partitions
-from probdiar.errors import DomainError, SizeError
+from probdiar.errors import DomainError, ShapeError, SizeError
 from probdiar.partitions import (ALPHA_MAX, CrpParams, bell_number, build_tables,
                                  canonicalize, cluster_count_variance, crp_log_prob,
                                  enumerate_rgs, expected_cluster_count, fit_crp)
@@ -184,12 +184,37 @@ class TestTables:
         for i, labels in enumerate(tables.rgs):
             assert tables.rgs_index(labels) == i
 
+    def test_rgs_index_ranks_every_row_in_one_call(self):
+        for n in range(1, 11):
+            tables = build_tables(n, CrpParams(1.0, 0.1))
+            assert tables.rgs.dtype == np.int64 and tables.rgs.shape == (BELL[n], n)
+            assert np.array_equal(tables.rgs_index(tables.rgs), np.arange(BELL[n]))
+
+    def test_rgs_index_of_a_tuple(self, tables_by_n):
+        tables = tables_by_n[4]
+        for i, labels in enumerate(partition_loop.enumerate_rgs(4)):
+            assert tables.rgs_index(labels) == i
+        assert tables.rgs_index([(1, 2, 3, 4), (1, 1, 1, 1)]).tolist() == [14, 0]
+
+    @pytest.mark.parametrize("labels", [(1, 2, 1), (1, 2, 1, 2, 3), (), [[1, 1]], 1])
+    def test_rgs_index_wrong_length_is_shape_error(self, tables_by_n, labels):
+        with pytest.raises(ShapeError):
+            tables_by_n[4].rgs_index(labels)
+
+    @pytest.mark.parametrize("labels", [(2, 1, 1, 1), (1, 3, 1, 1), (1, 0, 1, 1),
+                                        (1, 2, 4, 1), (0, 1, 1, 1), (1, -1, 1, 1),
+                                        (1.0, 1.0, 1.0, 1.0), ("1", "1", "1", "1"),
+                                        [(1, 1, 1, 1), (1, 1, 3, 1)]])
+    def test_rgs_index_non_rgs_is_domain_error(self, tables_by_n, labels):
+        with pytest.raises(DomainError):
+            tables_by_n[4].rgs_index(labels)
+
     @pytest.mark.parametrize("prior", LOOP_PRIORS)
     def test_bit_identical_to_row_loops(self, prior):
         for n in range(1, 10):
             tables = build_tables(n, prior)
             rgs = partition_loop.enumerate_rgs(n)
-            assert tables.rgs == tuple(rgs)
+            assert tables.rgs.tolist() == [list(labels) for labels in rgs]
             assert np.array_equal(tables.log_prior.view(np.int64),
                                   partition_loop.log_prior(rgs, prior).view(np.int64))
             want = partition_loop.part_subset(rgs, n)

@@ -1,6 +1,7 @@
-"""Tuning sweeps: every row equals a fresh `evaluate` at that value, although
-the sweep clusters each recording once per likelihood scale and scores each
-distinct labelling once."""
+"""Tuning sweeps and `evaluate`: every row and every `evaluate` report equal,
+to the bit, the per-recording `der` of `diarize_corpus`'s timelines at that
+value, although the sweep clusters each recording once per likelihood scale
+and scores each distinct labelling once."""
 
 from dataclasses import replace
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from probdiar.clustering import AhcConfig, cut, merge_trace
+from probdiar.evalkit import aggregate_der, der
 from probdiar.extractor import extract_batch, init_extractor
-from probdiar.pipeline import evaluate, sweep
+from probdiar.pipeline import diarize_corpus, evaluate, reference_timeline, sweep
 
 SIGMA_GRID = [-20, -5, -1, 0, 1, 5, 20]
 SCALE_GRID = [0.1, 0.5, 1.0, 2.0]
@@ -29,6 +31,12 @@ def recorded_gain(rec, model, plda):
     return trace.records[len(trace.records) // 2][2]
 
 
+def scored_timelines(recs, model, plda, cfg):
+    """The aggregate `der` of each recording's `diarize_corpus` timeline."""
+    hyps = diarize_corpus(recs, model, plda, cfg)
+    return aggregate_der(der(reference_timeline(r), hyps[r.rec_id]) for r in recs)
+
+
 @pytest.mark.parametrize("mode", ["by_the_book", "baseline"])
 @pytest.mark.parametrize("param", ["sigma", "scale"])
 def test_rows_equal_per_value_evaluate(split, mode, param):
@@ -45,8 +53,10 @@ def test_rows_equal_per_value_evaluate(split, mode, param):
     assert [r[0] for r in rows] == [float(v) for v in grid]
     for v, dev_der, eval_der in rows:
         cfg = replace(base, **{field: v})
-        assert dev_der == pytest.approx(evaluate(dev, model, plda, cfg).der, abs=1e-12)
-        assert eval_der == pytest.approx(evaluate(evl, model, plda, cfg).der, abs=1e-12)
+        for recs, row_der in ((dev, dev_der), (evl, eval_der)):
+            want = scored_timelines(recs, model, plda, cfg)
+            assert evaluate(recs, model, plda, cfg) == want
+            assert row_der == want.der
     assert best == min(rows, key=lambda r: r[1])[0]
 
 
@@ -54,8 +64,7 @@ def test_empty_eval_list_gives_nan(split):
     dev, _, model, plda = split
     rows, _ = sweep("sigma", [-1, 1], dev, [], model, plda, AhcConfig())
     assert all(np.isnan(r[2]) for r in rows)
-    assert rows[0][1] == pytest.approx(
-        evaluate(dev, model, plda, AhcConfig(sigma=-1.0)).der, abs=1e-12)
+    assert rows[0][1] == scored_timelines(dev, model, plda, AhcConfig(sigma=-1.0)).der
 
 
 def test_unknown_parameter_rejected(split):

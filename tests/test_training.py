@@ -139,6 +139,15 @@ class TestCrossEntropy:
         with pytest.raises(DataError):
             gradients([], model, plda, tables_by_n[4])
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_batch_of_another_tuple_size_is_shape_error(self, tables_by_n, rng, n):
+        model, plda = random_model(rng)
+        batch = random_batch(rng, n, 3)
+        with pytest.raises(ShapeError):
+            cross_entropy(batch, model, plda, tables_by_n[4])
+        with pytest.raises(ShapeError):
+            gradients(batch, model, plda, tables_by_n[4])
+
 
 class TestGradients:
     def test_matches_finite_differences(self, tables_by_n, rng):
@@ -502,15 +511,10 @@ class TestTrain:
             TrainConfig(n=1)
 
     @pytest.mark.parametrize("field, value", [
-        ("lr_net", np.nan), ("lr_net", np.inf), ("lr_ratio", np.nan),
-        ("momentum", np.nan), ("momentum", -0.1), ("momentum", 1.0),
-        ("momentum", np.inf)])
+        ("lr_net", np.nan), ("lr_net", np.inf), ("lr_ratio", np.nan)])
     def test_non_finite_or_out_of_range_rates(self, field, value):
         with pytest.raises(DomainError):
             TrainConfig(**{field: value})
-
-    def test_momentum_in_range_accepted(self):
-        assert TrainConfig(momentum=0.9).momentum == 0.9
 
     def test_loaded_corpus_without_init(self, small_corpus, tmp_path):
         """A corpus read from a file trains from the model estimated on it."""
