@@ -214,13 +214,15 @@ def unsupervised_calibration(scores) -> float:
     pi = np.array([0.5, 0.5])
     prev = -np.inf
     for _ in range(100):
-        # responsibilities under shared variance
-        logr = -0.5 * (scores[:, None] - mu) ** 2 / var + np.log(pi)
-        mx = logr.max(axis=1, keepdims=True)
-        r = np.exp(logr - mx)
-        ll = float(np.sum(np.log(r.sum(axis=1))) + np.sum(mx)
+        # responsibilities under shared variance, a column per component; the
+        # sums run on their (n, 2) stack, in its order
+        l0, l1 = (-0.5 * (scores - m) ** 2 / var + lp for m, lp in zip(mu, np.log(pi)))
+        mx = np.maximum(l0, l1)
+        r0, r1 = np.exp(l0 - mx), np.exp(l1 - mx)
+        total = r0 + r1
+        ll = float(np.sum(np.log(total)) + np.sum(mx)
                    - 0.5 * scores.size * np.log(2 * np.pi * var))
-        r /= r.sum(axis=1, keepdims=True)
+        r = np.column_stack((r0 / total, r1 / total))
         nk = r.sum(axis=0)
         pi = nk / scores.size
         mu = (r * scores[:, None]).sum(axis=0) / np.maximum(nk, 1e-300)

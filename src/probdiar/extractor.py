@@ -133,8 +133,15 @@ def extract_batch(records, model: ExtractorModel) -> EmbeddingBatch:
         raise ShapeError(f"raw dim {raw.shape[1:]} != transform input {model.raw_dim}")
     if quality.shape[1:] != (model.net.W1.shape[1],):
         raise ShapeError("quality dim does not match precision-net input")
-    return EmbeddingBatch(np.matmul(model.A, raw[:, :, None])[:, :, 0],
-                          model.net.precisions(quality))
+    # an overflow names its stage: its inf would warn, or pass softplus as a 0
+    stage = "mean transform"
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            xhat = np.matmul(model.A, raw[:, :, None])[:, :, 0]
+            stage = "precision net"
+            return EmbeddingBatch(xhat, model.net.precisions(quality))
+    except FloatingPointError as exc:
+        raise DomainError(f"extraction overflows in the {stage}: {exc}") from None
 
 
 def extract(rec: SegmentRecord, model: ExtractorModel) -> ProbEmbedding:
@@ -320,22 +327,19 @@ def generate_corpus(cfg: SyntheticConfig) -> Corpus:
         sigma = np.exp(0.5 * log_var)
         durations = rrng.uniform(*DURATION_BOUNDS, size=n_seg)
 
-        records = []
-        starts = []
-        t0 = 0.0
-        for t in range(n_seg):
-            clean = speakers[:, spk_idx[t]] + chol_w @ rrng.normal(size=cfg.dim)
-            raw = clean + sigma[t] * rrng.normal(size=cfg.dim)
-            enc = log_var[t] + QUALITY_NOISE_STD * rrng.normal(size=QUALITY_DIM - 1)
-            quality = np.concatenate([enc, [durations[t]]])
-            records.append(SegmentRecord(raw=raw, quality=quality, duration=durations[t]))
-            starts.append(t0)
-            t0 += durations[t]
+        # segment t's within-speaker, noise and encoding normals are row t, the
+        # stream's order; a stack of products gives row t the bits of chol_w @ z[t]
+        z = rrng.normal(size=(n_seg, 2 * cfg.dim + QUALITY_DIM - 1))
+        clean = speakers[:, spk_idx].T + np.matmul(chol_w, z[:, :cfg.dim, None])[:, :, 0]
+        raw = clean + sigma[:, None] * z[:, cfg.dim:2 * cfg.dim]
+        quality = np.column_stack((log_var[:, None] + QUALITY_NOISE_STD * z[:, 2 * cfg.dim:],
+                                   durations))
         recordings.append(Recording(
             rec_id=f"rec{ri:04d}",
-            records=records,
+            records=[SegmentRecord(raw=x, quality=q, duration=dur)
+                     for x, q, dur in zip(raw, quality, durations)],
             labels=canonicalize(spk_idx.tolist()),
-            starts=starts,
+            starts=np.concatenate(([0.0], np.cumsum(durations[:-1]))),
             split="heldout" if ri < n_heldout else "train",
             oracle_prec=1.0 / np.exp(log_var),
         ))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import logsumexp
+from scipy.special import digamma, logsumexp
 
 from .errors import DomainError, ShapeError, SizeError
 
@@ -218,6 +218,29 @@ def _expected_count(steps: list[float], concentration: float, discount: float) -
     return e
 
 
+def _count_test(steps: list[float], concentration: float, discount: float, test) -> bool:
+    """`test(_expected_count(steps, concentration, discount))` for a `test`
+    monotone in the count, taken from the Pitman-Yor closed form (lgamma
+    differences for d > 0, digamma for d = 0) when the test agrees at both ends
+    of its error bound: 32 ulps of the magnitudes it cancels plus 32n ulps of
+    the count, for the recurrence's rounding (at most ~5 ulps per seat)."""
+    alpha, d, n = concentration, discount, len(steps) + 1
+    try:
+        if d > 0:
+            lg = [math.lgamma(x) for x in (alpha + d + n, alpha, alpha + d, alpha + n)]
+            scale = alpha / d * math.exp(lg[0] + lg[1] - lg[2] - lg[3])
+            e, mag = scale - alpha / d, scale * (sum(map(abs, lg)) + 2 * (alpha + n) + 4)
+        else:
+            psi = digamma([alpha + n, alpha]).tolist()
+            e, mag = alpha * (psi[0] - psi[1]), alpha * (abs(psi[0]) + abs(psi[1]) + 1)
+        err = 32 * np.finfo(float).eps * (mag + (n + 1) * abs(e))
+    except OverflowError:
+        err = math.inf
+    if math.isfinite(err) and test(e - err) == test(e + err):
+        return test(e)
+    return test(_expected_count(steps, concentration, discount))
+
+
 def cluster_count_variance(n: int, concentration: float, discount: float) -> float:
     """Exact Var[number of clusters] after seating n customers.
 
@@ -253,6 +276,11 @@ def fit_crp(n_total: int, expected_speakers: float) -> CrpParams:
     exact expectation recurrence; infeasible grid points (expectation at
     alpha=0 already above target) are skipped.  A target at the all-singleton
     limit clips alpha at ALPHA_MAX with a warning.
+
+    `_count_test` decides each comparison from the closed form where that lies
+    farther from the threshold than both forms' rounding, and from the
+    recurrence otherwise: the recurrence's answer either way, so the bisection
+    halves the same brackets and alpha keeps its bits.
     """
     if n_total < 1:
         raise DomainError(f"n_total must be >= 1, got {n_total}")
@@ -261,14 +289,13 @@ def fit_crp(n_total: int, expected_speakers: float) -> CrpParams:
             f"expected_speakers must be in [1, {n_total}], got {expected_speakers}")
 
     steps = np.arange(1.0, n_total).tolist()
+    t, tol = expected_speakers, FIT_REL_TOL * expected_speakers
     candidates = []
     for d in FIT_DISCOUNT_GRID:
         lo = 1e-12 if d == 0 else 0.0
-        e_lo = _expected_count(steps, max(lo, 1e-12), d)
-        if e_lo > expected_speakers * (1 + FIT_REL_TOL):
+        if _count_test(steps, max(lo, 1e-12), d, lambda e: e > t * (1 + FIT_REL_TOL)):
             continue
-        e_hi = _expected_count(steps, ALPHA_MAX, d)
-        if e_hi < expected_speakers:
+        if _count_test(steps, ALPHA_MAX, d, lambda e: e < t):
             # target only reachable as alpha -> inf: clip
             warnings.warn(
                 f"fit_crp: target {expected_speakers} needs alpha > {ALPHA_MAX:g}; "
@@ -278,15 +305,16 @@ def fit_crp(n_total: int, expected_speakers: float) -> CrpParams:
         a_lo, a_hi = lo, ALPHA_MAX
         for _ in range(200):
             mid = 0.5 * (a_lo + a_hi)
-            if _expected_count(steps, max(mid, 1e-300), d) < expected_speakers:
+            if _count_test(steps, max(mid, 1e-300), d, lambda e: e < t):
                 a_lo = mid
             else:
                 a_hi = mid
             if a_hi - a_lo <= 1e-14 * max(1.0, a_hi):
                 break
         alpha = 0.5 * (a_lo + a_hi)
-        e = _expected_count(steps, max(alpha, 1e-300), d)
-        if abs(e - expected_speakers) <= FIT_REL_TOL * expected_speakers:
+        # |e - t| <= tol as two tests monotone in e (t - e is -(e - t) exactly)
+        if all(_count_test(steps, max(alpha, 1e-300), d, test)
+               for test in (lambda e: e - t <= tol, lambda e: t - e <= tol)):
             candidates.append((alpha, d))
 
     if not candidates:

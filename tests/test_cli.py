@@ -6,9 +6,11 @@ import pytest
 
 from probdiar.cli import _config_flags, build_parser, run
 from probdiar.errors import DataError, ProbdiarError
-from probdiar.extractor import Corpus, estimate_full_plda
-from probdiar.io import load_corpus, load_model, save_model
+from probdiar.extractor import Corpus, SyntheticConfig, estimate_full_plda
+from probdiar.io import load_corpus, load_model, save_corpus, save_model
 from probdiar.training import TrainConfig, train
+
+from . import corpus_loop
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +35,13 @@ class TestSimulate:
         assert len(recs) == 6
         assert all(len(r.records) == 10 for r in recs)
         assert (workdir / "ref.rttm").read_text().startswith("SPEAKER")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_file_equals_segment_loop_corpus(self, tmp_path, seed):
+        assert run(["simulate", "--out", str(tmp_path / "c.tsv"),
+                    "--seed", str(seed)]) == 0
+        save_corpus(tmp_path / "loop.tsv", corpus_loop.generate_corpus(SyntheticConfig(seed=seed)))
+        assert (tmp_path / "c.tsv").read_bytes() == (tmp_path / "loop.tsv").read_bytes()
 
 
 class TestTrain:
@@ -128,6 +137,29 @@ class TestDiarize:
                     "--out", str(tmp_path / "h.rttm"), "--scale", "1e300"]) == 3
         captured = capsys.readouterr()
         assert "[numeric] likelihood_scale 1e+300 overflows" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "h.rttm").exists()
+
+
+    @pytest.mark.parametrize("matrix, stage", [("A", "mean transform"),
+                                               ("W1", "precision net")])
+    def test_overflowing_extraction_is_numeric_error(self, workdir, tmp_path, capsys,
+                                                     matrix, stage):
+        """-1e308 in A, or in W1's duration column, overflows the product (in
+        W1, softplus would turn the -inf into a silent zero)."""
+        model, plda = load_model(workdir / "model.txt")
+        a, w1 = model.A.copy(), model.net.W1.copy()
+        if matrix == "A":
+            a[0, 0] = -1e308
+        else:
+            w1[0, 1] = -1e308   # the duration column
+        save_model(tmp_path / "bad.txt", replace(model, A=a, net=replace(model.net, W1=w1)),
+                   plda)
+        assert run(["diarize", "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(tmp_path / "bad.txt"),
+                    "--out", str(tmp_path / "h.rttm")]) == 3
+        captured = capsys.readouterr()
+        assert f"[numeric] extraction overflows in the {stage}" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "h.rttm").exists()
 

@@ -20,7 +20,7 @@ from probdiar.errors import CalibrationError, DomainError, ShapeError
 from probdiar.partitions import canonicalize, enumerate_rgs
 from probdiar.plda import DiagPlda, EmbeddingBatch, ProbEmbedding, pairwise_llr, segment_stats
 
-from . import ahc_loop, pooled_oracle
+from . import ahc_loop, calibration_loop, pooled_oracle
 from .ahc_loop import loop_baseline_trace, loop_book_trace
 
 stack = EmbeddingBatch.stack
@@ -149,6 +149,25 @@ class TestUnsupervisedCalibration:
             unsupervised_calibration([1.0])
         with pytest.raises(CalibrationError):
             unsupervised_calibration([2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bit_identical_to_array_em(self, seed):
+        """The column EM returns the (n, 2)-array EM's threshold, or its
+        error, exactly: two-mode, one-mode, rounded and heavy-tailed scores."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 2000))
+        scores = [np.concatenate([rng.normal(-3, 1, n // 2), rng.normal(2, 1.5, n - n // 2)]),
+                  rng.normal(size=n), np.round(rng.normal(size=n)),
+                  rng.exponential(size=n) ** 3][seed % 4] * rng.uniform(0.1, 10)
+
+        def outcome(fn):
+            try:
+                return fn(scores)
+            except CalibrationError as exc:
+                return str(exc)
+
+        assert outcome(unsupervised_calibration) == \
+            outcome(calibration_loop.unsupervised_calibration)
 
 
 class TestAhcBaseline:

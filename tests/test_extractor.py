@@ -15,6 +15,7 @@ from probdiar.extractor import (QUALITY_DIM, Corpus, ExtractorModel, PrecisionNe
                                 generate_corpus, init_extractor, inv_softplus, softplus)
 from probdiar.plda import clustering_log_posterior, joint_diagonalize
 
+from . import corpus_loop
 from .conftest import brute_force_log_posterior
 
 
@@ -163,6 +164,26 @@ class TestGenerateCorpus:
             for sa, sb in zip(ra.records, rb.records):
                 np.testing.assert_array_equal(sa.raw, sb.raw)
                 np.testing.assert_array_equal(sa.quality, sb.quality)
+
+    @pytest.mark.parametrize("cfg", [
+        SyntheticConfig(seed=0), SyntheticConfig(seed=3),
+        SyntheticConfig(n_recordings=12, segments_per_recording=16, seed=1),
+        SyntheticConfig(dim=5, n_recordings=6, segments_per_recording=10, seed=2),
+        SyntheticConfig(n_recordings=5, segments_per_recording=3, min_speakers=4,
+                        max_speakers=6, seed=4),
+        SyntheticConfig(dim=3, n_recordings=4, segments_per_recording=1, seed=5)])
+    def test_bit_identical_to_segment_loop(self, cfg):
+        got, want = generate_corpus(cfg), corpus_loop.generate_corpus(cfg)
+        for name in ("between_cov", "within_cov"):
+            assert getattr(got.full_plda, name).tobytes() == \
+                getattr(want.full_plda, name).tobytes()
+        for a, b in zip(got, want, strict=True):
+            assert (a.rec_id, a.labels, a.starts, a.split) == \
+                (b.rec_id, b.labels, b.starts, b.split)
+            assert a.oracle_prec.tobytes() == b.oracle_prec.tobytes()
+            for field in ("raw", "quality", "duration"):
+                assert np.stack([getattr(r, field) for r in a.records]).tobytes() == \
+                    np.stack([getattr(r, field) for r in b.records]).tobytes()
 
     def test_labels_canonical_and_speaker_counts(self, small_corpus):
         cfg = SyntheticConfig()   # the fixture's speaker bounds are the defaults

@@ -3,8 +3,10 @@ fitting.  Oracles: independent exhaustive enumeration/summation, a
 from-scratch seat-by-seat Monte Carlo cluster-count sampler, and the
 one-row-at-a-time loops of `partition_loop` for bit identity."""
 
+import functools
 import itertools
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +19,7 @@ from probdiar.partitions import (ALPHA_MAX, CrpParams, bell_number, build_tables
                                  canonicalize, cluster_count_variance, crp_log_prob,
                                  enumerate_rgs, expected_cluster_count, fit_crp)
 
-from . import partition_loop
+from . import crp_loop, partition_loop
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570]  # B_0..B_11
 # (1e-12, 0.95) is the extreme of fit_crp's grid; the third is the prior that
@@ -320,3 +322,66 @@ class TestFitCrp:
     def test_pinned_outputs(self, n_total, target, alpha, d):
         # pinned bit for bit: the fitted prior feeds every training run
         assert fit_crp(n_total, target) == CrpParams(alpha, d)
+
+
+def _fit_outcome(fit, n_total, target):
+    """fit(n_total, target), or the error it raises, with its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fit(n_total, target)
+        except DomainError as exc:
+            out = f"DomainError: {exc}"
+    return out, [str(w.message) for w in caught]
+
+
+# 40 seeded (n_total, target) pairs, then the edges: one and two draws, a
+# single speaker, all singletons (the ALPHA_MAX clip), tiny alpha at d = 0,
+# and targets no grid point reaches
+_FIT_RNG = np.random.default_rng(17)
+FIT_CASES = [(int(n), float(_FIT_RNG.uniform(1, n)))
+             for n in _FIT_RNG.integers(2, 300, size=40)] + [
+    (1, 1), (2, 1), (2, 2), (2, 1.5), (720, 1), (720, 720), (250, 249.5),
+    (100, 1.0001), (3, 2.999)]
+
+
+@functools.cache
+def _loop_outcome(n_total, target):
+    return _fit_outcome(crp_loop.fit_crp, n_total, target)
+
+
+class TestFitCrpCertified:
+    """fit_crp decides its comparisons from the closed form where that is
+    certain; the recurrence-only loop of `crp_loop` is the oracle."""
+
+    @pytest.mark.parametrize("n_total, target", FIT_CASES)
+    def test_bit_identical_to_recurrence_loop(self, n_total, target):
+        assert _fit_outcome(fit_crp, n_total, target) == _loop_outcome(n_total, target)
+
+    def test_cases_cover_the_edges(self):
+        outcomes = [_loop_outcome(n, t) for n, t in FIT_CASES]
+        assert any(caught for _, caught in outcomes)               # the clip
+        assert any(isinstance(out, CrpParams) and out.discount == 0.0
+                   and out.concentration < 1e-6 for out, _ in outcomes)
+
+    def test_no_candidate_is_domain_error(self, monkeypatch):
+        # 1.2 clusters over 1000 draws: every discount of this grid
+        # overshoots at alpha = 0
+        monkeypatch.setattr(partitions, "FIT_DISCOUNT_GRID", (0.5, 0.9))
+        monkeypatch.setattr(crp_loop, "FIT_DISCOUNT_GRID", (0.5, 0.9))
+        got = _fit_outcome(fit_crp, 1000, 1.2)
+        assert got[0].startswith("DomainError: no (alpha, discount)")
+        assert got == _fit_outcome(crp_loop.fit_crp, 1000, 1.2)
+
+    def test_recurrence_runs_only_near_the_root(self, monkeypatch):
+        calls = []
+        exact = partitions._expected_count
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(partitions, "_expected_count", counted)
+        assert fit_crp(720, 87) == CrpParams(0.12146013229445346, 0.65)
+        # the recurrence-only bisection runs it ~945 times
+        assert len(calls) < 300
