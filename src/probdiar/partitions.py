@@ -223,7 +223,10 @@ def _count_test(steps: list[float], concentration: float, discount: float, test)
     monotone in the count, taken from the Pitman-Yor closed form (lgamma
     differences for d > 0, digamma for d = 0) when the test agrees at both ends
     of its error bound: 32 ulps of the magnitudes it cancels plus 32n ulps of
-    the count, for the recurrence's rounding (at most ~5 ulps per seat)."""
+    the count, for the recurrence's rounding (~5 ulps per seat to first order).
+    The bound is an estimate and the factor 32 a margin set by measurement:
+    over n = 1..5000, the largest gap between the two forms was 0.146 of the
+    same bound at 8 ulps, and lgamma has no stated ulp guarantee."""
     alpha, d, n = concentration, discount, len(steps) + 1
     try:
         if d > 0:
@@ -279,8 +282,9 @@ def fit_crp(n_total: int, expected_speakers: float) -> CrpParams:
 
     `_count_test` decides each comparison from the closed form where that lies
     farther from the threshold than both forms' rounding, and from the
-    recurrence otherwise: the recurrence's answer either way, so the bisection
-    halves the same brackets and alpha keeps its bits.
+    recurrence otherwise: the recurrence's answer wherever the measured margin
+    of `_count_test` holds, so the bisection halves the same brackets and alpha
+    keeps its bits (checked against the recurrence-only loop for n <= 5000).
     """
     if n_total < 1:
         raise DomainError(f"n_total must be >= 1, got {n_total}")

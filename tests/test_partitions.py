@@ -337,12 +337,13 @@ def _fit_outcome(fit, n_total, target):
 
 # 40 seeded (n_total, target) pairs, then the edges: one and two draws, a
 # single speaker, all singletons (the ALPHA_MAX clip), tiny alpha at d = 0,
-# and targets no grid point reaches
+# and targets no grid point reaches; last, train's own fit (720, 87) and two
+# larger corpora, up to the n the closed form's margin was measured on
 _FIT_RNG = np.random.default_rng(17)
 FIT_CASES = [(int(n), float(_FIT_RNG.uniform(1, n)))
              for n in _FIT_RNG.integers(2, 300, size=40)] + [
     (1, 1), (2, 1), (2, 2), (2, 1.5), (720, 1), (720, 720), (250, 249.5),
-    (100, 1.0001), (3, 2.999)]
+    (100, 1.0001), (3, 2.999), (720, 87.0), (2000, 150.0), (5000, 40.0)]
 
 
 @functools.cache
