@@ -15,8 +15,8 @@ score pairs as array operations on the (n x D) statistics rows of
 `plda.segment_stats`, which merge by row addition.  `merge_delta` scores the
 pairs of two index arrays at once: all pairs (in blocks) when a trace
 starts, one merged cluster against the rest after each merge.  The baseline's
-plug-in scores are the same broadcast grouped as `pairwise_llr`, and equal it
-bit for bit.
+plug-in scores are `pairwise_llr`'s expression over the rows, and equal it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CalibrationError, DomainError
 from .partitions import canonicalize
-from .plda import DiagPlda, EmbeddingBatch, _pooled_loglik, segment_stats
+from .plda import DiagPlda, EmbeddingBatch, _pair_llr, _pooled_loglik, segment_stats
 
 # precision multiple used to emulate plug-in (infinite-precision) embeddings
 PLUGIN_PREC_FACTOR = 1e12
@@ -162,14 +162,7 @@ def _pair_matrix(n: int, pair) -> np.ndarray:
 
 
 def _book_trace(emb: EmbeddingBatch, plda: DiagPlda, scale: float) -> MergeTrace:
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_bar, b_bar, g = segment_stats(emb, plda, scale)
-        # every cluster's |a_bar| and b_bar are at most their column sums, so
-        # this bounds every gain and every term the gains are made of
-        h = np.abs(a_bar).sum(axis=0)
-        bound = 1.5 * float(h @ h + np.log1p(b_bar.sum(axis=0)).sum())
-    if not math.isfinite(bound):
-        raise DomainError(f"likelihood_scale {scale:g} overflows the cluster statistics")
+    a_bar, b_bar, g = segment_stats(emb, plda, scale)
 
     def rescore(a, b, others):
         # gains of untouched pairs stay exact because stats merge additively
@@ -237,10 +230,8 @@ def unsupervised_calibration(scores) -> float:
 
 
 def _baseline_trace(emb: EmbeddingBatch, plda: DiagPlda) -> MergeTrace:
-    a_bar, b_bar, g = segment_stats(emb, plda, 1.0, prec=PLUGIN_PREC_FACTOR * plda.w)
-    # grouped as pairwise_llr groups it
-    sim = _pair_matrix(len(g), lambda i, j: _pooled_loglik(a_bar[i] + a_bar[j],
-                                                          b_bar[i] + b_bar[j]) - (g[i] + g[j]))
+    a_bar, b_bar, g = segment_stats(emb, plda, 1.0, plugin=PLUGIN_PREC_FACTOR)
+    sim = _pair_matrix(len(g), lambda i, j: _pair_llr(a_bar, b_bar, g, i, j))
     try:
         calibration = unsupervised_calibration(sim[np.triu_indices(len(g), k=1)])
     except CalibrationError:

@@ -250,14 +250,17 @@ def aggregate_der(reports) -> DerReport:
     )
 
 
+def report_rows(report: DerReport):
+    """(recording, miss, false alarm, confusion, DER) rates of each recording
+    in sorted order, then of OVERALL."""
+    overall = (report.missed, report.false_alarm, report.confusion, report.total_ref)
+    for rec, (m, f, c, tot) in [*sorted(report.per_recording.items()), ("OVERALL", overall)]:
+        yield rec, m / tot, f / tot, c / tot, (m + f + c) / tot
+
+
 def report_table(report: DerReport) -> str:
     """Aligned text table with per-recording and overall rows."""
     lines = [f"{'recording':<16} {'miss':>8} {'falarm':>8} {'confusion':>10} {'DER':>8}"]
-    for rec in sorted(report.per_recording):
-        m, f, c, tot = report.per_recording[rec]
-        lines.append(f"{rec:<16} {m / tot:>8.4f} {f / tot:>8.4f} {c / tot:>10.4f} "
-                     f"{(m + f + c) / tot:>8.4f}")
-    lines.append(f"{'OVERALL':<16} {report.missed / report.total_ref:>8.4f} "
-                 f"{report.false_alarm / report.total_ref:>8.4f} "
-                 f"{report.confusion / report.total_ref:>10.4f} {report.der:>8.4f}")
+    lines += [f"{rec:<16} {m:>8.4f} {f:>8.4f} {c:>10.4f} {d:>8.4f}"
+              for rec, m, f, c, d in report_rows(report)]
     return "\n".join(lines)

@@ -249,12 +249,14 @@ class Corpus:
         return tuple(r for r in self.recordings if r.split == "heldout")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_full_plda(recordings) -> FullPlda:
     """Two-covariance model estimated from labeled raw vectors: within-speaker
     covariance from pooled per-speaker scatter, between-speaker covariance
     from the spread of speaker means.  Speakers are (recording, label) pairs.
 
-    A small diagonal jitter keeps both estimates positive definite.
+    A small diagonal jitter keeps both estimates positive definite.  Raw
+    vectors that overflow the covariances are a DomainError.
     """
     groups: dict = {}
     for rec in recordings:
@@ -281,6 +283,8 @@ def estimate_full_plda(recordings) -> FullPlda:
     jitter = 1e-6 * np.eye(dim)
     within = 0.5 * (within + within.T) + jitter * max(np.trace(within) / dim, 1.0)
     between = 0.5 * (between + between.T) + jitter * max(np.trace(between) / dim, 1.0)
+    if not (np.all(np.isfinite(within)) and np.all(np.isfinite(between))):
+        raise DomainError("the PLDA estimate overflows: raw features too large")
     return FullPlda(between_cov=between, within_cov=within)
 
 

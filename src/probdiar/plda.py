@@ -19,6 +19,8 @@ import scipy.linalg
 from .errors import DecompositionError, DomainError, ShapeError
 from .partitions import PartitionTables
 
+EXP_FLOOR = -700.0   # exp's clip in the partition posterior and the training softmax
+
 
 @dataclass(frozen=True)
 class ProbEmbedding:
@@ -172,19 +174,28 @@ def _pooled_loglik(a_bar: np.ndarray, b_bar: np.ndarray, work=None, out=None):
     return np.multiply(np.sum(t, axis=-1, out=out), 0.5, out=out)
 
 
-def segment_stats(emb: EmbeddingBatch, plda: DiagPlda, scale: float, prec=None):
+def segment_stats(emb: EmbeddingBatch, plda: DiagPlda, scale: float, plugin=None):
     """Per-segment statistics as (n x D) arrays a_bar = e * xhat and b_bar =
     e, e the evidence weight of the precisions times scale, and the cluster
     log-likelihood g of each row.  A cluster's statistics are the sums of its
-    members' rows.  `prec`, a D-vector, replaces every segment's precision
-    when given."""
+    members' rows.  With `plugin`, a factor, every segment's precision is
+    plugin * w.  Statistics that could overflow are a DomainError: a cluster's
+    |a_bar| and b_bar are at most their column sums, so a finite bound on those
+    bounds every merge gain and pair LLR and every term they are made of."""
     if not len(emb):
         raise DomainError("need at least one segment")
     if emb.dim != plda.dim:
         raise ShapeError(f"embedding dim {emb.dim} != model dim {plda.dim}")
-    e = segment_weight(plda, emb.prec if prec is None
-                       else np.broadcast_to(prec, emb.prec.shape)) * scale
-    a_bar = e * emb.xhat
+    with np.errstate(over="ignore", invalid="ignore"):
+        prec = emb.prec if plugin is None else np.broadcast_to(plugin * plda.w, emb.prec.shape)
+        e = segment_weight(plda, prec) * scale
+        a_bar = e * emb.xhat
+        h = np.abs(a_bar).sum(axis=0)
+        bound = 1.5 * float(h @ h + np.log1p(e.sum(axis=0)).sum())
+    if not np.isfinite(bound):
+        raise DomainError(f"likelihood_scale {scale:g} overflows the cluster statistics"
+                          if scale != 1 else "the cluster statistics overflow: a model "
+                          "precision or an embedding is too large")
     return a_bar, e, _pooled_loglik(a_bar, e)
 
 
@@ -228,8 +239,8 @@ def partition_log_posterior(g: np.ndarray, tables: PartitionTables,
     logits = np.add((tables.part_subset @ g.T).T, tables.log_prior, out=logits)
     # Log-sum-exp rounded as scipy's logsumexp rounds it, so the posterior
     # keeps its bits: the maxima leave the sum and come back through log1p.
-    # The shifted logits are clipped at -700 because numpy's exp leaves its
-    # fast path for arguments whose result is subnormal or underflows, and
+    # The shifted logits are clipped at EXP_FLOOR because numpy's exp leaves
+    # its fast path for arguments whose result is subnormal or underflows, and
     # many partitions sit that far below the best one.  The clip does not
     # move the sum: exp(-700) ~ 1e-304 is a normal number, and the at most
     # B_n clipped entries add under 1e-300 to a sum that log1p then adds to
@@ -239,7 +250,7 @@ def partition_log_posterior(g: np.ndarray, tables: PartitionTables,
     mx = logits.max(axis=-1, keepdims=True)
     top = np.equal(logits, mx, out=top)
     q = np.subtract(logits, mx, out=q)
-    np.exp(np.maximum(q, -700.0, out=q), out=q)
+    np.exp(np.maximum(q, EXP_FLOOR, out=q), out=q)
     q[top] = 0.0
     n_top = np.maximum(top.sum(axis=-1, keepdims=True), 1)
     logits -= np.log1p(q.sum(axis=-1, keepdims=True) / n_top) + np.log(n_top) + mx
@@ -261,10 +272,13 @@ def clustering_log_posterior(embeddings, plda: DiagPlda,
     return partition_log_posterior(g, tables)
 
 
+def _pair_llr(a_bar: np.ndarray, b_bar: np.ndarray, g: np.ndarray, i, j):
+    """LLR of the `segment_stats` rows i and j (indices or index arrays); the
+    grouped singleton terms keep it exactly symmetric in floating point."""
+    return _pooled_loglik(a_bar[i] + a_bar[j], b_bar[i] + b_bar[j]) - (g[i] + g[j])
+
+
 def pairwise_llr(e1: ProbEmbedding, e2: ProbEmbedding, plda: DiagPlda) -> float:
     """Same-speaker vs different-speaker log-likelihood ratio for a pair."""
     a_bar, b_bar, g = segment_stats(EmbeddingBatch.stack([e1, e2]), plda, 1.0)
-    # grouping the singleton terms keeps the result exactly symmetric in
-    # floating point
-    return float(_pooled_loglik(a_bar[0] + a_bar[1], b_bar[0] + b_bar[1])
-                 - (g[0] + g[1]))
+    return float(_pair_llr(a_bar, b_bar, g, 0, 1))

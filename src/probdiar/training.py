@@ -20,7 +20,8 @@ from scipy.special import expit
 from .errors import DataError, DomainError, ShapeError, TrainingError
 from .extractor import Corpus, ExtractorModel, PrecisionNet, init_extractor, softplus
 from .partitions import CrpParams, PartitionTables, build_tables, canonicalize, fit_crp
-from .plda import DiagPlda, partition_log_posterior, segment_weight, subset_logliks
+from .plda import (EXP_FLOOR, DiagPlda, partition_log_posterior, segment_weight,
+                   subset_logliks)
 
 
 @dataclass(frozen=True)
@@ -29,12 +30,6 @@ class OctetTrial:
 
     records: tuple
     truth: tuple
-
-    def __post_init__(self):
-        if len(self.truth) != len(self.records):
-            raise ShapeError("truth length must equal number of records")
-        if self.truth != canonicalize(self.truth):
-            raise DomainError("truth must be a canonical restricted growth string")
 
 
 @dataclass(frozen=True)
@@ -180,7 +175,7 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
         # the softmax as exp(log posterior) under the posterior's clip keeps
         # the bits of the unclipped one; q / (1 + sum q) rounds differently.
         # It overwrites log_post, which is not needed after the loss.
-        p = np.exp(np.maximum(log_post, -700.0, out=log_post), out=log_post)
+        p = np.exp(np.maximum(log_post, EXP_FLOOR, out=log_post), out=log_post)
         p[i, t] -= 1.0
         p /= n_batch                                               # dloss/dlogits
         dg = (tables.part_subset.T @ p.T).T[:, :, None]            # (block, C, 1)
@@ -248,7 +243,7 @@ def _set_params(params) -> tuple[ExtractorModel, DiagPlda]:
 
 
 def finite_difference_check(batch, model: ExtractorModel, plda: DiagPlda,
-                            tables: PartitionTables, scale_floor: bool = False) -> float:
+                            tables: PartitionTables, gate: bool = False) -> float:
     """Max relative error between analytic and central finite-difference
     gradients over every parameter of every group.
 
@@ -258,17 +253,18 @@ def finite_difference_check(batch, model: ExtractorModel, plda: DiagPlda,
     a tiny step noisier than 1e-5 relative on small gradient components).
 
     The step is 1e-3 and the relative-error denominator max(|analytic|,
-    |numeric|, floor), floor 1e-6.  With scale_floor the floor is raised to a
-    fraction of the largest gradient magnitude, so that components whose true
-    gradient sits at the finite-difference noise level (e.g. at a saturated
-    initialization) do not dominate the reported error.
+    |numeric|, floor), floor 1e-6.  As a `gate` (training's check and the
+    self-test's) the floor is raised to a fraction of the largest gradient
+    magnitude, so that components whose true gradient sits at the
+    finite-difference noise level (e.g. at a saturated initialization) do not
+    dominate the reported error, and an error above 1e-4 is a TrainingError.
     """
     raw, quality, truth = _batch_arrays(batch, tables)
     ws = _Workspace(tables, plda.dim, len(batch))
     _, grads = _forward_backward(raw, quality, truth, model, plda, tables, True, ws)
     params = _get_params(model, plda)
     step, floor = 1e-3, 1e-6
-    if scale_floor:
+    if gate:
         gmax = max(float(np.max(np.abs(g))) for g in grads.values())
         floor = max(floor, 1e-4 * gmax)
     worst = 0.0
@@ -291,6 +287,8 @@ def finite_difference_check(batch, model: ExtractorModel, plda: DiagPlda,
             an = garr.reshape(-1)[i]
             rel = abs(an - fd) / max(abs(fd), abs(an), floor)
             worst = max(worst, rel)
+    if gate and worst > 1e-4:
+        raise TrainingError(f"gradient check failed: rel error {worst:.2e}")
     return worst
 
 
@@ -321,7 +319,8 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
     corpus when None).
 
     Deterministic given cfg.seed.  Raises TrainingError (carrying the last
-    finite checkpoint) if the loss becomes non-finite.
+    finite checkpoint) if the loss becomes non-finite, and also (without
+    one) if the held-out cross-entropy does.
     """
     train_recs = corpus.train_recordings
     heldout_recs = corpus.heldout_recordings
@@ -361,9 +360,7 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
         cstream = sample_octets(train_recs, cfg.n, crng)
         for _ in range(10):
             batch = [next(cstream) for _ in range(2)]
-            err = finite_difference_check(batch, model, plda, tables, scale_floor=True)
-            if err > 1e-4:
-                raise TrainingError(f"gradient check failed: rel error {err:.2e}")
+            finite_difference_check(batch, model, plda, tables, gate=True)
 
     params = _get_params(model, plda)
     slow = {"log_w", "A"}
@@ -375,7 +372,11 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
     def heldout_ce(m, d):
         if heldout is None:
             return float("nan")
-        return _forward_backward(*heldout, m, d, tables, False, ws)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = _forward_backward(*heldout, m, d, tables, False, ws)[0]
+        if not np.isfinite(loss):
+            raise TrainingError(f"the held-out cross-entropy overflows at epoch {epoch}")
+        return loss
 
     result = TrainResult(model=model, plda=plda)
     # the last pair with a finite loss: SGD rebinds, never writes, its arrays

@@ -2,12 +2,14 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from probdiar.cli import _config_flags, build_parser, run
 from probdiar.errors import DataError, ProbdiarError
 from probdiar.extractor import Corpus, SyntheticConfig, estimate_full_plda
 from probdiar.io import load_corpus, load_model, save_corpus, save_model
+from probdiar.plda import DiagPlda
 from probdiar.training import TrainConfig, train
 
 from . import corpus_loop
@@ -83,6 +85,26 @@ class TestTrain:
                     "--out", str(tmp_path / "m.txt"), "--n", "4", "--epochs", "0",
                     "--check"]) == 3
         assert "[numeric] gradient check failed" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("rec, stage", [("rec0000", "held-out cross-entropy"),
+                                            ("rec0005", "PLDA estimate")])
+    def test_overflowing_feature_is_numeric_error(self, workdir, tmp_path, capsys,
+                                                  rec, stage):
+        """A raw value of 1e308 overflows the held-out cross-entropy (rec0000
+        is held out) or the PLDA estimate (rec0005 is trained on); either
+        names its stage, and a RuntimeWarning on the way fails the test."""
+        lines = (workdir / "corpus.tsv").read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(rec + "\t"))
+        parts = lines[at].split("\t")
+        parts[4] = ",".join(["1e308"] + parts[4].split(",")[1:])
+        lines[at] = "\t".join(parts)
+        (tmp_path / "c.tsv").write_text("\n".join(lines) + "\n")
+        assert run(["train", "--corpus", str(tmp_path / "c.tsv"),
+                    "--out", str(tmp_path / "m.txt"), "--n", "4", "--epochs", "2"]) == 3
+        captured = capsys.readouterr()
+        assert f"[numeric] the {stage} overflows" in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "m.txt").exists()
 
 
@@ -161,6 +183,25 @@ class TestDiarize:
         captured = capsys.readouterr()
         assert f"[numeric] extraction overflows in the {stage}" in captured.err
         assert captured.out == ""
+        assert not (tmp_path / "h.rttm").exists()
+
+    @pytest.mark.parametrize("mode", ["book", "baseline"])
+    def test_overflowing_model_precision_is_numeric_error(self, workdir, tmp_path,
+                                                          capsys, mode):
+        """A within-speaker precision of 1e308 overflows the cluster
+        statistics (in the baseline, already its plug-in precision): diarize
+        and sweep name the overflow, not the scale, and warn nothing."""
+        model, plda = load_model(workdir / "model.txt")
+        save_model(tmp_path / "bad.txt", model, DiagPlda(np.r_[1e308, plda.w[1:]]))
+        common = ["--corpus", str(workdir / "corpus.tsv"),
+                  "--model", str(tmp_path / "bad.txt"), "--mode", mode]
+        for argv in (["diarize", "--out", str(tmp_path / "h.rttm")],
+                     ["sweep", "--param", "sigma", "--values=0,1"]):
+            assert run(argv + common) == 3
+            captured = capsys.readouterr()
+            assert "[numeric] the cluster statistics overflow" in captured.err
+            assert "likelihood_scale" not in captured.err
+            assert captured.out == ""
         assert not (tmp_path / "h.rttm").exists()
 
 

@@ -46,12 +46,25 @@ def random_batch(rng, n, size, r=4, q=2):
 
 
 class TestOctetTrial:
-    def test_truth_must_be_canonical(self):
-        recs = tuple(SegmentRecord(raw=np.zeros(2), quality=np.zeros(1),
-                                   duration=1.0) for _ in range(3))
+    def test_truth_must_be_canonical(self, tables_by_n, rng):
+        """A trial's truth is checked where it is scored: a non-canonical
+        labelling is a DomainError, and a truth or tuple of another size than
+        the tables' a ShapeError."""
+        model, plda = random_model(rng)
+        recs = tuple(SegmentRecord(raw=np.zeros(4), quality=np.zeros(2),
+                                   duration=1.0) for _ in range(4))
+
+        def score(n_recs, truth):
+            trial = OctetTrial(records=recs[:n_recs], truth=truth)
+            return cross_entropy([trial], model, plda, tables_by_n[3])
+
         with pytest.raises(DomainError):
-            OctetTrial(records=recs, truth=(2, 1, 1))
-        OctetTrial(records=recs, truth=(1, 2, 1))  # canonical: fine
+            score(3, (2, 1, 1))
+        with pytest.raises(ShapeError):
+            score(3, (1, 2))
+        with pytest.raises(ShapeError):
+            score(4, (1, 2, 1))
+        assert np.isfinite(score(3, (1, 2, 1)))  # canonical: fine
 
 
 class TestSampleOctets:
