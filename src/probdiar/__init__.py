@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .clustering import AhcConfig, ahc, ahc_baseline, ahc_by_the_book, merge_delta, \
     unsupervised_calibration
 from .evalkit import DerReport, Timeline, Turn, aggregate_der, der, read_rttm, write_rttm
-from .extractor import (Corpus, ExtractorModel, PrecisionNet, Recording, SegmentRecord,
+from .extractor import (Corpus, ExtractorModel, Recording, SegmentRecord,
                         SyntheticConfig, estimate_full_plda, extract, extract_batch,
                         generate_corpus, init_extractor)
 from .partitions import (CrpParams, PartitionTables, bell_number, build_tables,

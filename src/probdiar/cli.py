@@ -19,9 +19,8 @@ from . import __version__
 from .clustering import AhcConfig
 from .errors import DataError, ProbdiarError, TrainingError
 from .evalkit import aggregate_der, der, read_rttm, report_rows, report_table, write_rttm
-from .extractor import (Corpus, ExtractorModel, PrecisionNet, SegmentRecord,
-                        SyntheticConfig, estimate_full_plda, generate_corpus,
-                        init_extractor)
+from .extractor import (Corpus, ExtractorModel, SegmentRecord, SyntheticConfig,
+                        estimate_full_plda, generate_corpus, init_extractor)
 from .io import (MODEL_FORMAT_VERSION, load_corpus, load_model, save_corpus,
                  save_history, save_model, text_lines)
 from .partitions import (CrpParams, bell_number, build_tables, canonicalize,
@@ -200,9 +199,9 @@ def cmd_selftest(args):
 
     print("analytic gradients vs finite differences...", end=" ")
     d_dim, r_dim, q_dim, h_dim, n = 4, 4, 2, 6, 4
-    net = PrecisionNet(W1=rng.normal(size=(h_dim, q_dim)), b1=rng.normal(size=h_dim),
-                       W2=rng.normal(size=(d_dim, h_dim)), b2=rng.normal(size=d_dim))
-    model = ExtractorModel(A=rng.normal(size=(d_dim, r_dim)), net=net)
+    shapes = {"W1": (h_dim, q_dim), "b1": h_dim, "W2": (d_dim, h_dim), "b2": d_dim,
+              "A": (d_dim, r_dim)}   # in the order of their draws
+    model = ExtractorModel(**{k: rng.normal(size=size) for k, size in shapes.items()})
     plda = DiagPlda(rng.uniform(0.5, 2.0, d_dim))
     tables = build_tables(n, CrpParams(1.0, 0.1))
     batch = [OctetTrial(
@@ -231,7 +230,8 @@ def _add_ahc_flags(p):
     """The AHC flags of diarize and sweep, which `_ahc_config` reads."""
     p.add_argument("--mode", choices=sorted(_MODES), default="book")
     p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=float, default=1.0,
+                   help="likelihood scale, book mode only (the baseline takes 1)")
 
 
 def _ahc_config(args):

@@ -43,13 +43,16 @@ _PAIR_BLOCK = 1 << 14
 class AhcConfig:
     mode: str = "by_the_book"       # "baseline" or "by_the_book"
     sigma: float = 0.0              # stopping threshold / calibration offset
-    likelihood_scale: float = 1.0   # down-weights per-segment statistics
+    likelihood_scale: float = 1.0   # down-weights per-segment statistics (book only)
 
     def __post_init__(self):
         if self.mode not in ("baseline", "by_the_book"):
             raise DomainError(f"unknown AHC mode {self.mode!r}")
         if not 0 < self.likelihood_scale < np.inf:
             raise DomainError("likelihood_scale must be positive and finite")
+        if self.mode == "baseline" and self.likelihood_scale != 1:
+            raise DomainError(f"likelihood_scale is for by_the_book mode only; the "
+                              f"baseline takes 1, not {self.likelihood_scale:g}")
         _check_sigma(self.sigma)
 
 

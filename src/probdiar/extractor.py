@@ -16,7 +16,7 @@ corruption level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,47 +68,28 @@ class SegmentRecord:
 
 
 @dataclass(frozen=True)
-class PrecisionNet:
-    """linear-softplus-linear-softplus network mapping quality features to
-    strictly positive diagonal precisions."""
+class ExtractorModel:
+    """The extractor's parameters: the mean transform A, and the weights
+    W1, b1, W2, b2 of a linear-softplus-linear-softplus network mapping
+    quality features to strictly positive diagonal precisions.  The fields,
+    in this order, are the parameter list of training and of model files."""
 
+    A: np.ndarray
     W1: np.ndarray
     b1: np.ndarray
     W2: np.ndarray
     b2: np.ndarray
 
     def __post_init__(self):
-        for name in ("W1", "b1", "W2", "b2"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        for f in fields(self):
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=np.float64))
         h, q = self.W1.shape
         d, h2 = self.W2.shape
         if h2 != h or self.b1.shape != (h,) or self.b2.shape != (d,):
             raise ShapeError("inconsistent precision-net parameter shapes")
-
-    # The layers take (n x q) quality rows and multiply each row on its own
-    # (a stack of vector-matrix products), so a row's bits do not depend on
-    # the rows beside it; one (n x q) @ (q x h) product would round
-    # differently.
-    def hidden(self, quality: np.ndarray) -> np.ndarray:
-        return softplus(np.matmul(quality[:, None, :], self.W1.T)[:, 0] + self.b1)
-
-    def precisions(self, quality: np.ndarray) -> np.ndarray:
-        return softplus(np.matmul(self.hidden(quality)[:, None, :], self.W2.T)[:, 0]
-                        + self.b2)
-
-
-@dataclass(frozen=True)
-class ExtractorModel:
-    """Mean transform plus precision net."""
-
-    A: np.ndarray
-    net: PrecisionNet
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=np.float64))
         if self.A.ndim != 2:
             raise ShapeError("A must be a matrix")
-        if self.A.shape[0] != self.net.W2.shape[0]:
+        if self.A.shape[0] != d:
             raise ShapeError("A rows must match precision-net output size")
 
     @property
@@ -118,6 +99,14 @@ class ExtractorModel:
     @property
     def raw_dim(self) -> int:
         return self.A.shape[1]
+
+    # The layers take (n x q) quality rows and multiply each row on its own
+    # (a stack of vector-matrix products), so a row's bits do not depend on
+    # the rows beside it; one (n x q) @ (q x h) product would round
+    # differently.
+    def precisions(self, quality: np.ndarray) -> np.ndarray:
+        hidden = softplus(np.matmul(quality[:, None, :], self.W1.T)[:, 0] + self.b1)
+        return softplus(np.matmul(hidden[:, None, :], self.W2.T)[:, 0] + self.b2)
 
 
 def extract_batch(records, model: ExtractorModel) -> EmbeddingBatch:
@@ -131,7 +120,7 @@ def extract_batch(records, model: ExtractorModel) -> EmbeddingBatch:
         raise ShapeError(f"need one or more records of equal dims: {exc}") from None
     if raw.shape[1:] != (model.raw_dim,):
         raise ShapeError(f"raw dim {raw.shape[1:]} != transform input {model.raw_dim}")
-    if quality.shape[1:] != (model.net.W1.shape[1],):
+    if quality.shape[1:] != (model.W1.shape[1],):
         raise ShapeError("quality dim does not match precision-net input")
     # an overflow names its stage: its inf would warn, or pass softplus as a 0
     stage = "mean transform"
@@ -139,7 +128,7 @@ def extract_batch(records, model: ExtractorModel) -> EmbeddingBatch:
         with np.errstate(over="raise", invalid="raise"):
             xhat = np.matmul(model.A, raw[:, :, None])[:, :, 0]
             stage = "precision net"
-            return EmbeddingBatch(xhat, model.net.precisions(quality))
+            return EmbeddingBatch(xhat, model.precisions(quality))
     except FloatingPointError as exc:
         raise DomainError(f"extraction overflows in the {stage}: {exc}") from None
 
@@ -165,13 +154,14 @@ def init_extractor(full: FullPlda, seed: int, margin: float = 100.0,
     d = t.shape[0]
     h = 2 * d
     rng = np.random.default_rng(seed)
-    net = PrecisionNet(
+    model = ExtractorModel(
+        A=t,
         W1=rng.normal(0.0, INIT_W1_STD, size=(h, quality_dim)),
         b1=np.zeros(h),
         W2=rng.normal(0.0, INIT_W2_STD, size=(d, h)),
         b2=inv_softplus(INIT_MARGIN_SAFETY * margin * diag.w),
     )
-    return ExtractorModel(A=t, net=net), diag
+    return model, diag
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ bit-exact.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .errors import DataError, ParseError
-from .extractor import ExtractorModel, PrecisionNet, Recording, SegmentRecord
+from .extractor import ExtractorModel, Recording, SegmentRecord
 from .plda import DiagPlda
 
 MODEL_FORMAT_VERSION = 1
@@ -42,14 +44,11 @@ def save_model(path, model: ExtractorModel, plda: DiagPlda):
         fh.write(f"format_version {MODEL_FORMAT_VERSION}\n")
         fh.write(f"dim {model.dim}\n")
         fh.write(f"raw_dim {model.raw_dim}\n")
-        fh.write(f"quality_dim {model.net.W1.shape[1]}\n")
-        fh.write(f"hidden {model.net.W1.shape[0]}\n")
+        fh.write(f"quality_dim {model.W1.shape[1]}\n")
+        fh.write(f"hidden {model.W1.shape[0]}\n")
         fh.write("w " + _fmt_vec(plda.w) + "\n")
-        _write_matrix(fh, "A", model.A)
-        _write_matrix(fh, "W1", model.net.W1)
-        _write_matrix(fh, "b1", model.net.b1)
-        _write_matrix(fh, "W2", model.net.W2)
-        _write_matrix(fh, "b2", model.net.b2)
+        for f in fields(model):
+            _write_matrix(fh, f.name, getattr(model, f.name))
 
 
 def _read_matrix(lines, pos, name):
@@ -67,31 +66,31 @@ def load_model(path) -> tuple[ExtractorModel, DiagPlda]:
     """Read a model file written by save_model."""
     lines = [ln.rstrip("\n") for ln in text_lines(path)]
     try:
-        fields = dict(ln.split(maxsplit=1) for ln in lines[:5])
-        if int(fields["format_version"]) != MODEL_FORMAT_VERSION:
-            raise DataError(f"unsupported model format version {fields['format_version']}")
+        head = dict(ln.split(maxsplit=1) for ln in lines[:5])
+        if int(head["format_version"]) != MODEL_FORMAT_VERSION:
+            raise DataError(f"unsupported model format version {head['format_version']}")
         if not lines[5].startswith("w "):
             raise ParseError("expected w vector", line=6)
         w = np.array([float(x) for x in lines[5].split()[1:]])
-        a, pos = _read_matrix(lines, 6, "A")
-        w1, pos = _read_matrix(lines, pos, "W1")
-        b1, pos = _read_matrix(lines, pos, "b1")
-        w2, pos = _read_matrix(lines, pos, "W2")
-        b2, pos = _read_matrix(lines, pos, "b2")
-        header = {key: int(fields[key])
+        m, pos = {}, 6
+        for f in fields(ExtractorModel):
+            m[f.name], pos = _read_matrix(lines, pos, f.name)
+        header = {key: int(head[key])
                   for key in ("dim", "raw_dim", "quality_dim", "hidden")}
         # every size the header states, against each array that has it
-        sizes = {"dim": (w.size, a.shape[0], w2.shape[0], b2.size),
-                 "raw_dim": (a.shape[1],), "quality_dim": (w1.shape[1],),
-                 "hidden": (w1.shape[0], w2.shape[1], b1.size)}
+        sizes = {"dim": (w.size, m["A"].shape[0], m["W2"].shape[0], m["b2"].size),
+                 "raw_dim": (m["A"].shape[1],), "quality_dim": (m["W1"].shape[1],),
+                 "hidden": (m["W1"].shape[0], m["W2"].shape[1], m["b1"].size)}
         for key, found in sizes.items():
             if any(n != header[key] for n in found):
                 raise ParseError(f"model file {path}: header {key} {header[key]} does "
                                  f"not match the array sizes {found}")
-        if not all(np.isfinite(m).all() for m in (w, a, w1, b1, w2, b2)):
+        if not all(np.isfinite(x).all() for x in (w, *m.values())):
             raise ParseError(f"model file {path}: every value must be finite")
-        net = PrecisionNet(W1=w1, b1=b1.reshape(-1), W2=w2, b2=b2.reshape(-1))
-        return ExtractorModel(A=a, net=net), DiagPlda(w)
+        # the biases b1, b2 are vectors, written as one-row matrices
+        model = ExtractorModel(**{k: x.reshape(-1) if k[0] == "b" else x
+                                  for k, x in m.items()})
+        return model, DiagPlda(w)
     except DataError:   # the checks above, with their own types and lines
         raise
     except (ValueError, KeyError, IndexError) as exc:   # DomainError included

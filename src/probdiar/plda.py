@@ -186,16 +186,22 @@ def segment_stats(emb: EmbeddingBatch, plda: DiagPlda, scale: float, plugin=None
         raise DomainError("need at least one segment")
     if emb.dim != plda.dim:
         raise ShapeError(f"embedding dim {emb.dim} != model dim {plda.dim}")
+
+    def bounded(e, a_bar):
+        h = np.abs(a_bar).sum(axis=0)
+        return np.isfinite(1.5 * float(h @ h + np.log1p(e.sum(axis=0)).sum()))
+
     with np.errstate(over="ignore", invalid="ignore"):
         prec = emb.prec if plugin is None else np.broadcast_to(plugin * plda.w, emb.prec.shape)
-        e = segment_weight(plda, prec) * scale
+        e1 = segment_weight(plda, prec)
+        e = e1 * scale
         a_bar = e * emb.xhat
-        h = np.abs(a_bar).sum(axis=0)
-        bound = 1.5 * float(h @ h + np.log1p(e.sum(axis=0)).sum())
-    if not np.isfinite(bound):
-        raise DomainError(f"likelihood_scale {scale:g} overflows the cluster statistics"
-                          if scale != 1 else "the cluster statistics overflow: a model "
-                          "precision or an embedding is too large")
+        if not bounded(e, a_bar):
+            # the scale is to blame only if the unscaled statistics are bounded
+            raise DomainError(f"likelihood_scale {scale:g} overflows the cluster statistics"
+                              if scale != 1 and bounded(e1, e1 * emb.xhat) else
+                              "the cluster statistics overflow: a model precision or an "
+                              "embedding is too large")
     return a_bar, e, _pooled_loglik(a_bar, e)
 
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, DomainError, ShapeError, TrainingError
-from .extractor import Corpus, ExtractorModel, PrecisionNet, init_extractor, softplus
+from .extractor import Corpus, ExtractorModel, init_extractor, softplus
 from .partitions import CrpParams, PartitionTables, build_tables, canonicalize, fit_crp
 from .plda import (EXP_FLOOR, DiagPlda, partition_log_posterior, segment_weight,
                    subset_logliks)
@@ -136,15 +136,14 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
     gradients have the bits of an unblocked pass.  The extractor's forward
     and the parameter contractions run over the whole batch.
     """
-    net = model.net
     w = plda.w
     n_batch = raw.shape[0]
     if ws is None:
         ws = _Workspace(tables, plda.dim, n_batch)
 
-    z1 = quality @ net.W1.T + net.b1
+    z1 = quality @ model.W1.T + model.b1
     h = softplus(z1)
-    z2 = h @ net.W2.T + net.b2
+    z2 = h @ model.W2.T + model.b2
     b = softplus(z2)
     xh = raw @ model.A.T
     e = segment_weight(plda, b)
@@ -205,7 +204,7 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
     d_z2 = d_b * expit(z2)
     d_W2 = np.einsum("btd,bth->dh", d_z2, h)
     d_b2 = np.sum(d_z2, axis=(0, 1))
-    d_h = d_z2 @ net.W2
+    d_h = d_z2 @ model.W2
     d_z1 = d_h * expit(z1)
     d_W1 = np.einsum("bth,btq->hq", d_z1, quality)
     d_b1 = np.sum(d_z1, axis=(0, 1))
@@ -232,14 +231,12 @@ def gradients(batch, model: ExtractorModel, plda: DiagPlda,
 
 
 def _get_params(model: ExtractorModel, plda: DiagPlda):
-    return {"log_w": np.log(plda.w), "A": model.A, "W1": model.net.W1,
-            "b1": model.net.b1, "W2": model.net.W2, "b2": model.net.b2}
+    return {"log_w": np.log(plda.w), **{f.name: getattr(model, f.name) for f in fields(model)}}
 
 
 def _set_params(params) -> tuple[ExtractorModel, DiagPlda]:
-    net = PrecisionNet(W1=params["W1"], b1=params["b1"],
-                       W2=params["W2"], b2=params["b2"])
-    return ExtractorModel(A=params["A"], net=net), DiagPlda(np.exp(params["log_w"]))
+    model = ExtractorModel(**{f.name: params[f.name] for f in fields(ExtractorModel)})
+    return model, DiagPlda(np.exp(params["log_w"]))
 
 
 def finite_difference_check(batch, model: ExtractorModel, plda: DiagPlda,

@@ -19,12 +19,11 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
 
     Shapes: raw (B, n, R), quality (B, n, Q), truth (B,).
     """
-    net = model.net
     w = plda.w
 
-    z1 = quality @ net.W1.T + net.b1
+    z1 = quality @ model.W1.T + model.b1
     h = softplus(z1)
-    z2 = h @ net.W2.T + net.b2
+    z2 = h @ model.W2.T + model.b2
     b = softplus(z2)
     xh = raw @ model.A.T
     e = segment_weight(plda, b)
@@ -60,7 +59,7 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
     d_z2 = d_b * expit(z2)
     d_W2 = np.einsum("btd,bth->dh", d_z2, h)
     d_b2 = np.sum(d_z2, axis=(0, 1))
-    d_h = d_z2 @ net.W2
+    d_h = d_z2 @ model.W2
     d_z1 = d_h * expit(z1)
     d_W1 = np.einsum("bth,btq->hq", d_z1, quality)
     d_b1 = np.sum(d_z1, axis=(0, 1))

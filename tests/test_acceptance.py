@@ -13,8 +13,8 @@ from scipy.special import logsumexp
 
 from probdiar.clustering import AhcConfig, ahc_by_the_book
 from probdiar.evalkit import Timeline, Turn, der
-from probdiar.extractor import (ExtractorModel, PrecisionNet, SegmentRecord,
-                                SyntheticConfig, generate_corpus, init_extractor)
+from probdiar.extractor import (ExtractorModel, SegmentRecord, SyntheticConfig,
+                                generate_corpus, init_extractor)
 from probdiar.partitions import (CrpParams, bell_number, build_tables,
                                  canonicalize, crp_log_prob, enumerate_rgs,
                                  expected_cluster_count, fit_crp)
@@ -102,11 +102,11 @@ def test_criterion_4_gradient_correctness():
         tables = build_tables(n, CrpParams(1.0, 0.1))
         for _ in range(10):
             d = 8
-            net = PrecisionNet(W1=rng.normal(size=(2 * d, 2)),
-                               b1=rng.normal(size=2 * d),
-                               W2=rng.normal(scale=0.5, size=(d, 2 * d)),
-                               b2=rng.normal(size=d))
-            model = ExtractorModel(A=rng.normal(size=(d, d)), net=net)
+            model = ExtractorModel(W1=rng.normal(size=(2 * d, 2)),
+                                   b1=rng.normal(size=2 * d),
+                                   W2=rng.normal(scale=0.5, size=(d, 2 * d)),
+                                   b2=rng.normal(size=d),
+                                   A=rng.normal(size=(d, d)))
             plda = DiagPlda(rng.uniform(0.5, 2.0, d))
             batch = [OctetTrial(
                 records=tuple(SegmentRecord(raw=rng.normal(size=d),

@@ -162,6 +162,16 @@ class TestDiarize:
         assert captured.out == ""
         assert not (tmp_path / "h.rttm").exists()
 
+    def test_scale_in_baseline_mode_is_numeric_error(self, workdir, tmp_path, capsys):
+        """The baseline scores plug-in embeddings, which no scale changes."""
+        assert run(["diarize", "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(workdir / "model.txt"), "--out", str(tmp_path / "h.rttm"),
+                    "--mode", "baseline", "--scale", "7"]) == 3
+        captured = capsys.readouterr()
+        assert "[numeric] likelihood_scale is for by_the_book mode only" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "h.rttm").exists()
+
 
     @pytest.mark.parametrize("matrix, stage", [("A", "mean transform"),
                                                ("W1", "precision net")])
@@ -170,13 +180,12 @@ class TestDiarize:
         """-1e308 in A, or in W1's duration column, overflows the product (in
         W1, softplus would turn the -inf into a silent zero)."""
         model, plda = load_model(workdir / "model.txt")
-        a, w1 = model.A.copy(), model.net.W1.copy()
+        a, w1 = model.A.copy(), model.W1.copy()
         if matrix == "A":
             a[0, 0] = -1e308
         else:
             w1[0, 1] = -1e308   # the duration column
-        save_model(tmp_path / "bad.txt", replace(model, A=a, net=replace(model.net, W1=w1)),
-                   plda)
+        save_model(tmp_path / "bad.txt", replace(model, A=a, W1=w1), plda)
         assert run(["diarize", "--corpus", str(workdir / "corpus.tsv"),
                     "--model", str(tmp_path / "bad.txt"),
                     "--out", str(tmp_path / "h.rttm")]) == 3
@@ -203,6 +212,23 @@ class TestDiarize:
             assert "likelihood_scale" not in captured.err
             assert captured.out == ""
         assert not (tmp_path / "h.rttm").exists()
+
+    @pytest.mark.parametrize("scale", ["2", "0.5"])
+    def test_model_overflow_is_not_blamed_on_the_scale(self, workdir, tmp_path, capsys,
+                                                       scale):
+        """A within-speaker precision of 1e308 overflows the unscaled
+        statistics too, so a scale other than 1 is not named as the cause."""
+        model, plda = load_model(workdir / "model.txt")
+        save_model(tmp_path / "bad.txt", model, DiagPlda(np.r_[1e308, plda.w[1:]]))
+        common = ["--corpus", str(workdir / "corpus.tsv"),
+                  "--model", str(tmp_path / "bad.txt"), "--scale", scale]
+        for argv in (["diarize", "--out", str(tmp_path / "h.rttm")],
+                     ["sweep", "--param", "sigma", "--values=0,1"]):
+            assert run(argv + common) == 3
+            captured = capsys.readouterr()
+            assert "[numeric] the cluster statistics overflow" in captured.err
+            assert "likelihood_scale" not in captured.err
+            assert captured.out == ""
 
 
 class TestScore:
@@ -308,6 +334,15 @@ class TestSweep:
                     "--param", "scale", "--values=1,1e300"]) == 3
         captured = capsys.readouterr()
         assert "[numeric] likelihood_scale 1e+300 overflows" in captured.err
+        assert captured.out == ""
+
+    def test_scale_in_baseline_mode_is_numeric_error(self, workdir, capsys):
+        """A baseline scale sweep would print equal rows for every value."""
+        assert run(["sweep", "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(workdir / "model.txt"), "--mode", "baseline",
+                    "--param", "scale", "--values=0.5,1,2"]) == 3
+        captured = capsys.readouterr()
+        assert "[numeric] likelihood_scale is for by_the_book mode only" in captured.err
         assert captured.out == ""
 
     def test_huge_segment_is_numeric_error(self, workdir, tmp_path, capsys):

@@ -59,6 +59,7 @@ def files(tmp_path_factory):
 # placeholder for each file and {out} for its output)
 COMMANDS = [
     (("corpus", "model"), "diarize --corpus {corpus} --model {model} --out {out}"),
+    (("corpus", "model"), "diarize --corpus {corpus} --model {model} --out {out} --scale 0.5"),
     (("corpus", "model"),
      "diarize --corpus {corpus} --model {model} --out {out} --mode baseline"),
     (("corpus", "model"),

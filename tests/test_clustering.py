@@ -239,6 +239,12 @@ class TestAhcDispatch:
             with pytest.raises(DomainError, match="likelihood_scale"):
                 AhcConfig(likelihood_scale=scale)
 
+    def test_baseline_takes_no_scale(self):
+        for scale in (0.5, 2.0):
+            with pytest.raises(DomainError, match="by_the_book mode only"):
+                AhcConfig(mode="baseline", likelihood_scale=scale)
+        assert AhcConfig(mode="baseline", likelihood_scale=1.0).likelihood_scale == 1.0
+
     def test_overflowing_scale_rejected(self, rng):
         """A finite scale that overflows the pooled statistics is a numeric
         error raised before any gain is scored; a RuntimeWarning on the way

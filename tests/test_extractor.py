@@ -2,6 +2,7 @@
 generator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import pytest
 import probdiar as pd
 from probdiar import extractor
 from probdiar.errors import DomainError, ShapeError
-from probdiar.extractor import (QUALITY_DIM, Corpus, ExtractorModel, PrecisionNet,
-                                Recording, SegmentRecord, SyntheticConfig,
+from probdiar.extractor import (QUALITY_DIM, Corpus, ExtractorModel, Recording,
+                                SegmentRecord, SyntheticConfig,
                                 estimate_full_plda, extract, extract_batch,
                                 generate_corpus, init_extractor, inv_softplus, softplus)
 from probdiar.plda import clustering_log_posterior, joint_diagonalize
@@ -41,28 +42,31 @@ class TestSegmentRecord:
 
 class TestExtract:
     def test_identity_transform(self, rng):
-        net = PrecisionNet(W1=np.zeros((2, 1)), b1=np.zeros(2),
-                           W2=np.zeros((3, 2)), b2=np.zeros(3))
-        model = ExtractorModel(A=np.eye(3), net=net)
+        model = ExtractorModel(A=np.eye(3), W1=np.zeros((2, 1)), b1=np.zeros(2),
+                               W2=np.zeros((3, 2)), b2=np.zeros(3))
         r = rng.normal(size=3)
         emb = extract(SegmentRecord(raw=r, quality=[0.0], duration=1.0), model)
         np.testing.assert_array_equal(emb.xhat, r)
 
     def test_zero_net_gives_log2_precisions(self):
-        net = PrecisionNet(W1=np.zeros((2, 1)), b1=np.zeros(2),
-                           W2=np.zeros((3, 2)), b2=np.zeros(3))
-        model = ExtractorModel(A=np.eye(3), net=net)
+        model = ExtractorModel(A=np.eye(3), W1=np.zeros((2, 1)), b1=np.zeros(2),
+                               W2=np.zeros((3, 2)), b2=np.zeros(3))
         emb = extract(SegmentRecord(raw=np.zeros(3), quality=[0.7], duration=1.0),
                       model)
         np.testing.assert_allclose(emb.prec, np.full(3, math.log(2.0)), rtol=1e-12)
 
     def test_dim_mismatch(self):
-        net = PrecisionNet(W1=np.zeros((2, 1)), b1=np.zeros(2),
-                           W2=np.zeros((3, 2)), b2=np.zeros(3))
-        model = ExtractorModel(A=np.eye(3), net=net)
+        model = ExtractorModel(A=np.eye(3), W1=np.zeros((2, 1)), b1=np.zeros(2),
+                               W2=np.zeros((3, 2)), b2=np.zeros(3))
         with pytest.raises(ShapeError):
             extract(SegmentRecord(raw=np.zeros(4), quality=[0.0], duration=1.0),
                     model)
+        # the model's own checks: A a matrix with one row per output, and
+        # layers that chain
+        for bad in ({"A": np.ones(3)}, {"A": np.eye(2)}, {"b1": np.zeros(3)},
+                    {"W2": np.zeros((3, 3))}, {"b2": np.zeros(2)}):
+            with pytest.raises(ShapeError):
+                replace(model, **bad)
 
 
 class TestExtractBatch:
@@ -73,16 +77,15 @@ class TestExtractBatch:
 
     @staticmethod
     def per_segment(rec, model):
-        net = model.net
-        hidden = softplus(rec.quality @ net.W1.T + net.b1)
-        return model.A @ rec.raw, softplus(hidden @ net.W2.T + net.b2)
+        hidden = softplus(rec.quality @ model.W1.T + model.b1)
+        return model.A @ rec.raw, softplus(hidden @ model.W2.T + model.b2)
 
     @staticmethod
     def random_model(rng, d, r, q):
         h = 2 * d
-        net = PrecisionNet(W1=rng.normal(size=(h, q)), b1=rng.normal(size=h),
-                           W2=rng.normal(size=(d, h)), b2=rng.normal(size=d))
-        return ExtractorModel(A=rng.normal(size=(d, r)), net=net)
+        return ExtractorModel(W1=rng.normal(size=(h, q)), b1=rng.normal(size=h),
+                              W2=rng.normal(size=(d, h)), b2=rng.normal(size=d),
+                              A=rng.normal(size=(d, r)))
 
     def assert_rows_exact(self, records, model):
         batch = extract_batch(records, model)

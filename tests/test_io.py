@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,17 +12,16 @@ import pytest
 
 import probdiar as pd
 from probdiar.errors import DataError, ParseError
-from probdiar.extractor import ExtractorModel, PrecisionNet
+from probdiar.extractor import ExtractorModel
 from probdiar.io import (load_corpus, load_model, save_corpus, save_history,
                          save_model)
 from probdiar.plda import DiagPlda
 
 
 def random_model(rng, d=5, r=6, q=3, h=4):
-    net = PrecisionNet(W1=rng.normal(size=(h, q)), b1=rng.normal(size=h),
-                       W2=rng.normal(size=(d, h)), b2=rng.normal(size=d))
-    return ExtractorModel(A=rng.normal(size=(d, r)), net=net), \
-        DiagPlda(rng.uniform(0.5, 2.0, d))
+    return ExtractorModel(W1=rng.normal(size=(h, q)), b1=rng.normal(size=h),
+                          W2=rng.normal(size=(d, h)), b2=rng.normal(size=d),
+                          A=rng.normal(size=(d, r))), DiagPlda(rng.uniform(0.5, 2.0, d))
 
 
 class TestModelIo:
@@ -30,12 +30,40 @@ class TestModelIo:
         path = tmp_path / "model.txt"
         save_model(path, model, plda)
         back_model, back_plda = load_model(path)
-        np.testing.assert_array_equal(back_model.A, model.A)
-        np.testing.assert_array_equal(back_model.net.W1, model.net.W1)
-        np.testing.assert_array_equal(back_model.net.b1, model.net.b1)
-        np.testing.assert_array_equal(back_model.net.W2, model.net.W2)
-        np.testing.assert_array_equal(back_model.net.b2, model.net.b2)
+        for f in fields(ExtractorModel):
+            np.testing.assert_array_equal(getattr(back_model, f.name), getattr(model, f.name))
         np.testing.assert_array_equal(back_plda.w, plda.w)
+
+    def test_file_layout(self, tmp_path):
+        """The header, then w, then one matrix per model field in field
+        order, each value with 17 significant digits."""
+        model = ExtractorModel(A=[[0.5]], W1=[[-2.0]], b1=[0.25], W2=[[3.0]], b2=[-1.5])
+        path = tmp_path / "model.txt"
+        save_model(path, model, DiagPlda(np.array([0.1])))
+        assert path.read_text(encoding="utf-8") == textwrap.dedent("""\
+            format_version 1
+            dim 1
+            raw_dim 1
+            quality_dim 1
+            hidden 1
+            w 0.10000000000000001
+            A 1 1
+            0.5
+            W1 1 1
+            -2
+            b1 1 1
+            0.25
+            W2 1 1
+            3
+            b2 1 1
+            -1.5
+            """)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path, rng):
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        save_model(first, *random_model(rng))
+        save_model(second, *load_model(first))
+        assert second.read_bytes() == first.read_bytes()
 
     def test_unsupported_version(self, tmp_path, rng):
         model, plda = random_model(rng)

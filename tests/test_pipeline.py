@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from probdiar.clustering import AhcConfig, cut, merge_trace
+from probdiar.errors import DomainError
 from probdiar.evalkit import aggregate_der, der
 from probdiar.extractor import extract_batch, init_extractor
 from probdiar.pipeline import diarize_corpus, evaluate, reference_timeline, sweep
@@ -49,6 +50,11 @@ def test_rows_equal_per_value_evaluate(split, mode, param):
             grid.append(recorded_gain(dev[0], model, plda))
     else:
         field, grid = "likelihood_scale", SCALE_GRID
+        if mode == "baseline":
+            # the baseline takes no scale, so a sweep of it is rejected
+            with pytest.raises(DomainError, match="by_the_book mode only"):
+                sweep(param, grid, dev, evl, model, plda, base)
+            return
     rows, best = sweep(param, grid, dev, evl, model, plda, base)
     assert [r[0] for r in rows] == [float(v) for v in grid]
     for v, dev_der, eval_der in rows:

@@ -13,8 +13,7 @@ from scipy.special import expit, logsumexp
 
 import probdiar as pd
 from probdiar.errors import DataError, DomainError, ShapeError, TrainingError
-from probdiar.extractor import (Corpus, ExtractorModel, PrecisionNet, Recording,
-                                SegmentRecord, softplus)
+from probdiar.extractor import Corpus, ExtractorModel, Recording, SegmentRecord, softplus
 from probdiar.io import load_corpus, save_corpus
 from probdiar.partitions import CrpParams, build_tables, canonicalize, fit_crp
 from probdiar.plda import (DiagPlda, partition_log_posterior, segment_weight,
@@ -30,9 +29,9 @@ from .conftest import brute_force_log_posterior
 
 def random_model(rng, d=4, r=4, q=2, h=6):
     """A moderate random model, away from the saturated initialization."""
-    net = PrecisionNet(W1=rng.normal(size=(h, q)), b1=rng.normal(size=h),
-                       W2=rng.normal(size=(d, h)), b2=rng.normal(size=d))
-    return (ExtractorModel(A=rng.normal(size=(d, r)), net=net),
+    return (ExtractorModel(W1=rng.normal(size=(h, q)), b1=rng.normal(size=h),
+                           W2=rng.normal(size=(d, h)), b2=rng.normal(size=d),
+                           A=rng.normal(size=(d, r))),
             DiagPlda(rng.uniform(0.5, 2.0, d)))
 
 
@@ -100,9 +99,8 @@ class TestCrossEntropy:
     def test_zero_precision_gives_prior_loss(self, tables_by_n, rng):
         tables = tables_by_n[4]
         # a net that underflows softplus to exactly zero in every dimension
-        net = PrecisionNet(W1=np.zeros((2, 2)), b1=np.zeros(2),
-                           W2=np.zeros((3, 2)), b2=np.full(3, -800.0))
-        model = ExtractorModel(A=np.eye(3, 4), net=net)
+        model = ExtractorModel(A=np.eye(3, 4), W1=np.zeros((2, 2)), b1=np.zeros(2),
+                               W2=np.zeros((3, 2)), b2=np.full(3, -800.0))
         plda = DiagPlda(np.ones(3))
         batch = random_batch(rng, 4, 6)
         expected = -np.mean([tables.log_prior[tables.rgs_index(t.truth)]
@@ -112,9 +110,8 @@ class TestCrossEntropy:
 
     def test_uniform_pair_prior_gives_log2(self, rng):
         tables = build_tables(2, CrpParams(1.0, 0.0))  # p([1,1]) = p([1,2]) = 1/2
-        net = PrecisionNet(W1=np.zeros((2, 2)), b1=np.zeros(2),
-                           W2=np.zeros((3, 2)), b2=np.full(3, -800.0))
-        model = ExtractorModel(A=np.eye(3, 4), net=net)
+        model = ExtractorModel(A=np.eye(3, 4), W1=np.zeros((2, 2)), b1=np.zeros(2),
+                               W2=np.zeros((3, 2)), b2=np.full(3, -800.0))
         batch = random_batch(rng, 2, 8)
         assert cross_entropy(batch, model, DiagPlda(np.ones(3)), tables) == \
             pytest.approx(np.log(2.0), abs=1e-12)
@@ -174,9 +171,8 @@ class TestGradients:
     def test_zero_loss_limit_stationary(self, rng):
         """Posterior saturated at the truth: the gradient vanishes."""
         tables = build_tables(3, CrpParams(1e-12, 0.0))  # prior mass on one cluster
-        net = PrecisionNet(W1=np.zeros((2, 2)), b1=np.zeros(2),
-                           W2=np.zeros((1, 2)), b2=np.array([20.0]))
-        model = ExtractorModel(A=np.ones((1, 1)), net=net)
+        model = ExtractorModel(A=np.ones((1, 1)), W1=np.zeros((2, 2)), b1=np.zeros(2),
+                               W2=np.zeros((1, 2)), b2=np.array([20.0]))
         plda = DiagPlda(np.ones(1))
         recs = tuple(SegmentRecord(raw=np.zeros(1), quality=np.zeros(2),
                                    duration=1.0) for _ in range(3))
@@ -190,12 +186,11 @@ class TestGradients:
         that row of the mean transform gets an exactly zero gradient."""
         tables = tables_by_n[4]
         model, plda = random_model(rng)
-        b2 = model.net.b2.copy()
+        b2 = model.b2.copy()
         b2[1] = -800.0
-        w2 = model.net.W2.copy()
+        w2 = model.W2.copy()
         w2[1] = 0.0
-        dead = ExtractorModel(A=model.A, net=PrecisionNet(
-            W1=model.net.W1, b1=model.net.b1, W2=w2, b2=b2))
+        dead = replace(model, W2=w2, b2=b2)
         g = gradients(random_batch(rng, 4, 3), dead, plda, tables)
         np.testing.assert_array_equal(g["A"][1], np.zeros(4))
 
@@ -203,10 +198,10 @@ class TestGradients:
 def reference_forward_backward(raw, quality, truth, model, plda, tables):
     """The training kernel written with per-axis einsums, scipy's logsumexp
     and an unclipped softmax: (loss, gradients by group, logits)."""
-    net, w = model.net, plda.w
-    z1 = quality @ net.W1.T + net.b1
+    w = plda.w
+    z1 = quality @ model.W1.T + model.b1
     h = softplus(z1)
-    z2 = h @ net.W2.T + net.b2
+    z2 = h @ model.W2.T + model.b2
     b = softplus(z2)
     xh = raw @ model.A.T
     e = w * b / (w + b)
@@ -231,7 +226,7 @@ def reference_forward_backward(raw, quality, truth, model, plda, tables):
     d_e = d_ex * xh + np.einsum("tc,bcd->btd", s, d_b_bar)
     d_b = d_e * (w / (w + b)) ** 2
     d_z2 = d_b * expit(z2)
-    d_z1 = (d_z2 @ net.W2) * expit(z1)
+    d_z1 = (d_z2 @ model.W2) * expit(z1)
     grads = {"log_w": np.sum(d_e * (b / (w + b)) ** 2, axis=(0, 1)) * w,
              "A": np.einsum("btd,btr->dr", d_ex * e, raw),
              "W1": np.einsum("bth,btq->hq", d_z1, quality),
@@ -340,8 +335,8 @@ class TestKernel:
         gives a broad posterior, whose sum has many terms that round."""
         arrays, model, plda, tables = blocked_octets(small_corpus, 10.0)
         plda = DiagPlda(0.01 * plda.w)
-        (raw, quality, _), net = arrays, model.net
-        prec = softplus(softplus(quality @ net.W1.T + net.b1) @ net.W2.T + net.b2)
+        raw, quality, _ = arrays
+        prec = softplus(softplus(quality @ model.W1.T + model.b1) @ model.W2.T + model.b2)
         g, _, _ = subset_logliks(segment_weight(plda, prec), raw @ model.A.T, tables)
         for i in range(g.shape[0]):
             if not np.array_equal(partition_log_posterior(g[[i]], tables),
@@ -393,7 +388,7 @@ class TestTrain:
         init_model, init_plda = pd.init_extractor(
             small_corpus.full_plda, seed=0, margin=cfg.margin, quality_dim=2)
         np.testing.assert_array_equal(result.model.A, init_model.A)
-        np.testing.assert_array_equal(result.model.net.b2, init_model.net.b2)
+        np.testing.assert_array_equal(result.model.b2, init_model.b2)
         # w round-trips through its log parameterization: equal to 1 ulp
         np.testing.assert_allclose(result.plda.w, init_plda.w, rtol=1e-15)
         # the held-out CE is computed on a fixed batch, so with frozen
@@ -407,7 +402,7 @@ class TestTrain:
         a = train(cfg, small_corpus)
         b = train(cfg, small_corpus)
         np.testing.assert_array_equal(a.model.A, b.model.A)
-        np.testing.assert_array_equal(a.model.net.W1, b.model.net.W1)
+        np.testing.assert_array_equal(a.model.W1, b.model.W1)
         np.testing.assert_array_equal(a.plda.w, b.plda.w)
         assert a.history == b.history
 
@@ -425,8 +420,8 @@ class TestTrain:
         result = train(cfg, small_corpus)
         init_model, _ = pd.init_extractor(
             small_corpus.full_plda, seed=0, margin=100.0, quality_dim=2)
-        np.testing.assert_array_equal(result.model.net.W1, init_model.net.W1)
-        np.testing.assert_array_equal(result.model.net.b2, init_model.net.b2)
+        np.testing.assert_array_equal(result.model.W1, init_model.W1)
+        np.testing.assert_array_equal(result.model.b2, init_model.b2)
 
     def test_gradient_check_gate_passes(self, small_corpus):
         """The gate draws its octets from its own stream: the trained model
@@ -434,7 +429,7 @@ class TestTrain:
         cfg = TrainConfig(n=4, epochs=1, seed=0)
         checked = train(replace(cfg, check=True), small_corpus)
         plain = train(cfg, small_corpus)
-        np.testing.assert_array_equal(checked.model.net.W1, plain.model.net.W1)
+        np.testing.assert_array_equal(checked.model.W1, plain.model.W1)
         np.testing.assert_array_equal(checked.plda.w, plain.plda.w)
         assert checked.history == plain.history
 
