@@ -83,6 +83,8 @@ class ExtractorModel:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=np.float64))
+        if self.W1.ndim != 2 or self.W2.ndim != 2:
+            raise ShapeError("W1 and W2 must be matrices")
         h, q = self.W1.shape
         d, h2 = self.W2.shape
         if h2 != h or self.b1.shape != (h,) or self.b2.shape != (d,):

@@ -171,7 +171,48 @@ def _pooled_loglik(a_bar: np.ndarray, b_bar: np.ndarray, work=None, out=None):
     u = np.add(1.0, b_bar, out=u)
     t /= u
     t -= np.log1p(b_bar, out=u)
+    # a batch of tuples has one short row per subset, and np.sum calls its
+    # inner loop once per row; `_sum_last` adds the same terms in the same
+    # order in a few whole-array calls.  np.sum adds them in that order only
+    # when the last axis is innermost in memory, hence C order; the few rows
+    # of a single tuple or a clustering's stats gain nothing from it.
+    if t.ndim > 2 and t.flags.c_contiguous:
+        return np.multiply(_sum_last(t, out), 0.5, out=out)
     return np.multiply(np.sum(t, axis=-1, out=out), 0.5, out=out)
+
+
+def _sum_last(t: np.ndarray, out=None) -> np.ndarray:
+    """np.sum(t, axis=-1, out=out) of a C-contiguous float64 `t`, bit for bit,
+    in whole-array adds.  numpy reduces each row from 0.0 by pairwise
+    summation: under 8 terms one after another; 8 to 128 terms in 8 strided
+    partial sums, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    remainder one after another; more than 128 as the sum of two halves
+    split at a multiple of 8."""
+    # the 0.0 numpy starts from only turns an all -0.0 row into +0.0
+    return np.add(0.0, _pairwise_sum(t), out=out)
+
+
+def _pairwise_sum(t: np.ndarray) -> np.ndarray:
+    n = t.shape[-1]
+    if n < 2:
+        return np.sum(t, axis=-1)   # no term or one: nothing to order
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(t[..., :half]) + _pairwise_sum(t[..., half:])
+    if n < 8:
+        s = t[..., 0] + t[..., 1]
+        tail = range(2, n)
+    else:
+        r = t[..., 0:8] if n < 16 else t[..., 0:8] + t[..., 8:16]
+        for k in range(16, n - 7, 8):
+            r += t[..., k:k + 8]
+        r = r[..., 0::2] + r[..., 1::2]
+        r = r[..., 0::2] + r[..., 1::2]
+        s = r[..., 0] + r[..., 1]
+        tail = range(n - n % 8, n)
+    for k in tail:
+        s += t[..., k]
+    return s
 
 
 def segment_stats(emb: EmbeddingBatch, plda: DiagPlda, scale: float, plugin=None):
@@ -241,26 +282,45 @@ def partition_log_posterior(g: np.ndarray, tables: PartitionTables,
     log-sum-exp run down the rows in a different order (and round
     differently) in a C-ordered array.
     """
+    logits, lse = _partition_logits(g, tables, out)
+    logits -= lse
+    return logits
+
+
+def _partition_logits(g: np.ndarray, tables: PartitionTables, out=None):
+    """The unnormalized log posterior (logits) of `partition_log_posterior`
+    and its log-sum-exp per row (lse, keeping the reduced axis), whose
+    difference is the log posterior; `out` as there."""
     logits, q, top = out if out is not None else (None,) * 3
     logits = np.add((tables.part_subset @ g.T).T, tables.log_prior, out=logits)
     # Log-sum-exp rounded as scipy's logsumexp rounds it, so the posterior
     # keeps its bits: the maxima leave the sum and come back through log1p.
-    # The shifted logits are clipped at EXP_FLOOR because numpy's exp leaves
-    # its fast path for arguments whose result is subnormal or underflows, and
-    # many partitions sit that far below the best one.  The clip does not
-    # move the sum: exp(-700) ~ 1e-304 is a normal number, and the at most
-    # B_n clipped entries add under 1e-300 to a sum that log1p then adds to
-    # the max.  np.maximum propagates NaN, so a non-finite logit still gives
-    # a non-finite posterior (a NaN row has no maximum, hence the floor of 1).
-    # In-place ufuncs keep the bits and spare fresh (B, B_n) pages.
+    # The maxima are found on the shifted logits, against a scalar rather
+    # than a broadcast row maximum: for finite x and m, x - m == 0 exactly
+    # when x == m.  The shifted logits are clipped at EXP_FLOOR because
+    # numpy's exp leaves its fast path for arguments whose result is
+    # subnormal or underflows, and many partitions sit that far below the
+    # best one.  The clip does not move the sum: exp(-700) ~ 1e-304 is a
+    # normal number, and the at most B_n clipped entries add under 1e-300 to
+    # a sum that log1p then adds to the max.  A non-finite input gives a
+    # non-finite output: a -inf logit a -inf entry, and a NaN or +inf logit
+    # (or a row of -inf) a row of NaN.  np.maximum propagates NaN, a row
+    # with a NaN has a NaN maximum and no entry equal to it (hence the floor
+    # of 1 on the count), and a +inf maximum shifts every entry to -inf or
+    # NaN.  Each row has one maximum unless two partitions tie, so when there
+    # is one per row and every maximum is finite the count per row is 1
+    # without counting.  In-place ufuncs keep the bits and spare fresh
+    # (B, B_n) pages.
     mx = logits.max(axis=-1, keepdims=True)
-    top = np.equal(logits, mx, out=top)
     q = np.subtract(logits, mx, out=q)
+    top = np.equal(q, 0.0, out=top)
     np.exp(np.maximum(q, EXP_FLOOR, out=q), out=q)
-    q[top] = 0.0
-    n_top = np.maximum(top.sum(axis=-1, keepdims=True), 1)
-    logits -= np.log1p(q.sum(axis=-1, keepdims=True) / n_top) + np.log(n_top) + mx
-    return logits
+    np.copyto(q, 0.0, where=top)
+    if np.count_nonzero(top) == mx.size and np.isfinite(mx).all():
+        n_top = 1
+    else:
+        n_top = np.maximum(top.sum(axis=-1, keepdims=True), 1)
+    return logits, np.log1p(q.sum(axis=-1, keepdims=True) / n_top) + np.log(n_top) + mx
 
 
 def clustering_log_posterior(embeddings, plda: DiagPlda,

@@ -20,8 +20,7 @@ from scipy.special import expit
 from .errors import DataError, DomainError, ShapeError, TrainingError
 from .extractor import Corpus, ExtractorModel, init_extractor, softplus
 from .partitions import CrpParams, PartitionTables, build_tables, canonicalize, fit_crp
-from .plda import (EXP_FLOOR, DiagPlda, partition_log_posterior, segment_weight,
-                   subset_logliks)
+from .plda import EXP_FLOOR, DiagPlda, _partition_logits, segment_weight, subset_logliks
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ def sample_octets(recordings, n: int, rng):
         raise DataError(f"no recording has at least {n} segments")
     while True:
         rec = eligible[rng.integers(len(eligible))]
-        idx = rng.choice(len(rec.records), size=n, replace=False)
+        idx = rng.choice(len(rec.records), size=n, replace=False).tolist()
         yield OctetTrial(
             records=tuple(rec.records[i] for i in idx),
             truth=canonicalize([rec.labels[i] for i in idx]),
@@ -77,11 +76,23 @@ def sample_octets(recordings, n: int, rng):
 
 
 def _batch_arrays(batch, tables: PartitionTables):
+    """The (B, n, R) raw features, (B, n, Q) quality features and (B,) true
+    partition rows of a batch of trials.  Each field is one array of all the
+    records' rows, reshaped."""
     if not batch:
         raise DataError("batch has no tuples")
-    raw = np.stack([[r.raw for r in trial.records] for trial in batch])
-    quality = np.stack([[r.quality for r in trial.records] for trial in batch])
-    return raw, quality, tables.rgs_index([trial.truth for trial in batch])
+    shape = (len(batch), len(batch[0].records))
+    if {len(trial.records) for trial in batch} != {shape[1]}:
+        raise ShapeError("a batch needs tuples of one size")
+    records = [r for trial in batch for r in trial.records]
+    try:
+        # np.array, unlike a concatenation, refuses rows of unequal lengths
+        raw, quality = (np.array([getattr(r, name) for r in records])
+                        for name in ("raw", "quality"))
+    except ValueError as exc:
+        raise ShapeError(f"a batch needs records of equal dims: {exc}") from None
+    return (raw.reshape(shape + raw.shape[1:]), quality.reshape(shape + quality.shape[1:]),
+            tables.rgs_index([trial.truth for trial in batch]))
 
 
 # tuples scored at once by `_forward_backward`.  A workspace of this many
@@ -133,8 +144,10 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
     operations keep the order of the unblocked expressions, each tuple is
     reduced on its own, and the posterior buffers are F-ordered like the
     unblocked logits (see `partition_log_posterior`), so the loss and
-    gradients have the bits of an unblocked pass.  The extractor's forward
-    and the parameter contractions run over the whole batch.
+    gradients have the bits of an unblocked pass.  Without gradients a
+    block is not normalized: the loss reads only the true partition's logit
+    and the block's log-sum-exp.  The extractor's forward and the parameter
+    contractions run over the whole batch.
     """
     w = plda.w
     n_batch = raw.shape[0]
@@ -165,11 +178,14 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
         a_bar, b_bar, t1, t2, t3 = (x[:m] for x in ws.stats)
         g, a_bar, b_bar = subset_logliks(e[lo:hi], xh[lo:hi], tables,
                                          out=(ws.g[:m], a_bar, b_bar, (t1, t2)))
-        log_post = partition_log_posterior(g, tables,
-                                           out=(ws.logits[:m], ws.q[:m], ws.top[:m]))
-        nll[lo:hi] = -log_post[i, t]
+        logits, lse = _partition_logits(g, tables,
+                                        out=(ws.logits[:m], ws.q[:m], ws.top[:m]))
         if not want_grad:
+            # -(logit - lse) == lse - logit in IEEE arithmetic
+            nll[lo:hi] = lse[:, 0] - logits[i, t]
             continue
+        log_post = np.subtract(logits, lse, out=logits)
+        nll[lo:hi] = -log_post[i, t]
 
         # the softmax as exp(log posterior) under the posterior's clip keeps
         # the bits of the unclipped one; q / (1 + sum q) rounds differently.

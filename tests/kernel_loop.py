@@ -1,16 +1,19 @@
 """Reference training kernel for the tests: `training._forward_backward` as
 it was before the per-tuple stages ran in blocks of tuples, kept verbatim.
-It scores the whole batch at once through the same `plda` kernels (without
-buffers), so it allocates (B, B_n) and (B, 2^n - 1, D) arrays, but its
-expressions are the plain formulas the blocked kernel must reproduce bit
-for bit."""
+It scores the whole batch at once, without buffers, through the frozen
+subset likelihoods and posterior of `tests/posterior_loop.py`, so it
+allocates (B, B_n) and (B, 2^n - 1, D) arrays and shares no per-tuple code
+with the blocked kernel, but its expressions are the plain formulas the
+blocked kernel must reproduce bit for bit."""
 
 import numpy as np
 from scipy.special import expit
 
 from probdiar.extractor import ExtractorModel, softplus
 from probdiar.partitions import PartitionTables
-from probdiar.plda import DiagPlda, partition_log_posterior, segment_weight, subset_logliks
+from probdiar.plda import DiagPlda, segment_weight
+
+from .posterior_loop import partition_log_posterior, subset_logliks
 
 
 def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda,

@@ -68,6 +68,15 @@ class TestExtract:
             with pytest.raises(ShapeError):
                 replace(model, **bad)
 
+    @pytest.mark.parametrize("bad", [{"W1": np.zeros(2)}, {"W1": np.zeros((2, 1, 1))},
+                                     {"W1": 0.0}, {"W2": np.zeros(3)}])
+    def test_net_weights_must_be_matrices(self, bad):
+        """A weight of another rank is a ShapeError, not a failed unpacking."""
+        fields = dict(A=np.eye(3), W1=np.zeros((2, 1)), b1=np.zeros(2),
+                      W2=np.zeros((3, 2)), b2=np.zeros(3))
+        with pytest.raises(ShapeError, match="W1 and W2 must be matrices"):
+            ExtractorModel(**{**fields, **bad})
+
 
 class TestExtractBatch:
     """Each row of a batch has the bits of its record extracted alone, and of

@@ -1,17 +1,21 @@
 """PLDA scoring of probabilistic embeddings.  Oracles: hand-evaluated closed
-forms and the brute-force per-partition scorer in conftest."""
+forms, the brute-force per-partition scorer in conftest, np.sum, and the
+frozen subset likelihoods and posterior of `tests/posterior_loop.py`."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from probdiar.errors import DecompositionError, DomainError, ShapeError
 from probdiar.plda import (DiagPlda, EmbeddingBatch, FullPlda, ProbEmbedding,
-                           _pooled_loglik, clustering_log_posterior, joint_diagonalize,
-                           pairwise_llr, segment_stats, segment_weight)
+                           _partition_logits, _pooled_loglik, _sum_last,
+                           clustering_log_posterior, joint_diagonalize, pairwise_llr,
+                           partition_log_posterior, segment_stats, segment_weight,
+                           subset_logliks)
 
-from . import pooled_oracle
+from . import pooled_oracle, posterior_loop
 from .conftest import brute_force_log_posterior
 
 
@@ -191,6 +195,169 @@ class TestClusterLoglik:
     def test_with_evidence(self):
         assert self.both([1.0], [1.0]) == pytest.approx(0.5 * (0.5 - math.log(2.0)),
                                                         abs=1e-12)
+
+
+def assert_same_bits(got, want, msg=""):
+    """Equal shapes and bits; NaN only where `want` has NaN (of any payload)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, msg
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan, err_msg=msg)
+    np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64),
+                                  err_msg=msg)
+
+
+# every term count of the pairwise rule: sequential under 8, the 8-way tree
+# with each remainder up to 128, and halves split at a multiple of 8 above
+SUM_LENGTHS = [*range(1, 140), 200, 255, 256, 300]
+
+
+def summands(rng, shape):
+    """Terms over 20 decades of both signs, with signed zeros, and a NaN and
+    infinities in a few rows, so that any change of order changes bits."""
+    t = rng.normal(size=shape) * 10.0 ** rng.integers(-10, 10, size=shape)
+    t[rng.random(shape) < 0.05] = 0.0
+    t[rng.random(shape) < 0.05] = -0.0
+    flat = t.reshape(-1, shape[-1])
+    if len(flat) > 3:
+        flat[-1] = -0.0                  # an all -0.0 row sums to +0.0
+        flat[0, -1], flat[1, 0], flat[2, 0], flat[2, -1] = np.nan, np.inf, np.inf, -np.inf
+    return t
+
+
+class TestSameBits:
+    """The whole-array sum over D gives np.sum's bits, and the pooled
+    likelihoods, subset likelihoods and partition posterior give the bits of
+    the frozen np.sum and broadcast-maximum versions in
+    `tests/posterior_loop.py`, on every term count and on ties, NaN, -inf,
+    1-D input and blocks of leading rows."""
+
+    @pytest.mark.parametrize("d", SUM_LENGTHS)
+    def test_sum_last_is_np_sum(self, d):
+        rng = np.random.default_rng(d)
+        for shape in [(3, 17, d), (17, d), (d,)]:
+            t = summands(rng, shape)
+            with np.errstate(invalid="ignore"):
+                want = np.sum(t, axis=-1)
+                got = _sum_last(t)
+                out = np.empty(shape[:-1])
+                assert _sum_last(t, out) is out
+            msg = (f"np.sum of {d} terms no longer adds them in the pairwise order that "
+                   f"plda._sum_last copies: numpy {np.__version__} changed its "
+                   f"reduction order")
+            assert_same_bits(got, want, msg)
+            assert_same_bits(out, want, msg)
+
+    @pytest.mark.parametrize("d", SUM_LENGTHS)
+    def test_pooled_loglik_matches_frozen(self, d):
+        """Batches of (rows, subsets, D) stats take the whole-array sum,
+        alone and as blocks of leading rows of reused buffers (one row
+        too); (subsets, D) and F-ordered ones take np.sum."""
+        rng = np.random.default_rng(1000 + d)
+        a_bar = rng.normal(size=(5, 7, d)) * 10.0 ** rng.integers(-3, 3, size=(5, 7, d))
+        b_bar = rng.uniform(0.0, 50.0, size=(5, 7, d))
+        assert_same_bits(_pooled_loglik(a_bar, b_bar),
+                         posterior_loop._pooled_loglik(a_bar, b_bar))
+        assert_same_bits(_pooled_loglik(a_bar[0], b_bar[0]),
+                         posterior_loop._pooled_loglik(a_bar[0], b_bar[0]))
+        # np.sum adds the terms of an F-ordered array one after another
+        fa, fb = np.asfortranarray(a_bar), np.asfortranarray(b_bar)
+        assert_same_bits(_pooled_loglik(fa, fb), posterior_loop._pooled_loglik(fa, fb))
+        work, out = (np.empty((5, 7, d)), np.empty((5, 7, d))), np.empty((5, 7))
+        for m in (5, 3, 1):
+            got = _pooled_loglik(a_bar[:m], b_bar[:m], tuple(w[:m] for w in work), out[:m])
+            assert got.base is out
+            assert_same_bits(got, posterior_loop._pooled_loglik(a_bar[:m], b_bar[:m]))
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 23, 24, 129, 300])
+    def test_subset_logliks_match_frozen(self, tables_by_n, d):
+        tables = tables_by_n[5]
+        rng = np.random.default_rng(d)
+        e, xh = rng.uniform(0.0, 5.0, size=(4, 5, d)), rng.normal(size=(4, 5, d))
+        for got, want in zip(subset_logliks(e, xh, tables),
+                             posterior_loop.subset_logliks(e, xh, tables)):
+            assert_same_bits(got, want)
+
+    @staticmethod
+    def posteriors(g, tables):
+        """partition_log_posterior of g, fresh and in the leading rows of
+        F-ordered buffers of a larger block, with the frozen one's."""
+        rows = max(g.shape[0] + 2, 4) if g.ndim == 2 else None
+        with np.errstate(invalid="ignore"):
+            want = posterior_loop.partition_log_posterior(g, tables)
+            got = [partition_log_posterior(g, tables)]
+            if rows:
+                m, b = g.shape[0], tables.n_partitions
+                bufs = (np.empty((b, rows)).T, np.empty((b, rows)).T,
+                        np.empty((b, rows), dtype=bool).T)
+                got.append(partition_log_posterior(g, tables, out=tuple(x[:m] for x in bufs)))
+        return got, want
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_posterior_matches_frozen(self, tables_by_n, n):
+        tables = tables_by_n[n]
+        rng = np.random.default_rng(n)
+        g = rng.normal(size=(9, tables.n_subsets)) * 10.0 ** rng.integers(-2, 3, size=9)[:, None]
+        for rows in (g, g[:1], g[0]):     # a block, a one-row block, 1-D g
+            got, want = self.posteriors(rows, tables)
+            for x in got:
+                assert_same_bits(x, want)
+
+    def test_ties_match_frozen(self, tables_by_n):
+        """Under a flat prior, a g that depends on the subset size only ties
+        every partition with the same block sizes, and g = 0 ties them all."""
+        tables = tables_by_n[6]
+        flat = replace(tables, log_prior=np.zeros(tables.n_partitions))
+        size = tables.seg_subset.sum(axis=0)
+        g = np.stack([np.zeros_like(size), np.log(size), -(size - 2.0) ** 2])
+        logits = (tables.part_subset @ g.T).T
+        n_top = (logits == logits.max(axis=1, keepdims=True)).sum(axis=1)
+        assert n_top[0] == tables.n_partitions and np.all(n_top[1:] > 1)
+        # NaN rows have no maximum: as many of them as a tied row has maxima
+        # less one give one maximum per row on average, but not in each row
+        mixed = np.vstack([np.full((n_top[1] - 1, tables.n_subsets), np.nan), g[1]])
+        for rows in (g, g[1:2], g[2], mixed):
+            got, want = self.posteriors(rows, flat)
+            for x in got:
+                assert_same_bits(x, want)
+
+    def test_non_finite_rows_match_frozen(self, tables_by_n):
+        """A NaN subset likelihood makes its row all NaN, and a -inf one
+        leaves the other partitions finite, as in the frozen posterior."""
+        tables = tables_by_n[5]
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(4, tables.n_subsets))
+        g[0, 3] = np.nan
+        g[1, 5] = g[1, 9] = -np.inf
+        g[2] = -np.inf
+        got, want = self.posteriors(g, tables)
+        assert np.isnan(want[0]).all() and np.isnan(want[2]).all()
+        assert np.isneginf(want[1]).any() and np.isfinite(want[1]).any()
+        for x in got:
+            assert_same_bits(x, want)
+
+    def test_infinite_logit_gives_nan_row(self, tables_by_n):
+        """A +inf logit makes the whole row NaN (the frozen posterior has NaN
+        at the +inf entries and -inf elsewhere): non-finite either way."""
+        tables = tables_by_n[4]
+        g = np.zeros((2, tables.n_subsets))
+        g[0, 2] = np.inf
+        got, want = self.posteriors(g, tables)
+        assert not np.isfinite(want[0]).any()
+        for x in got:
+            assert np.isnan(x[0]).all()
+            assert_same_bits(x[1], want[1])
+
+    def test_logits_and_lse(self, tables_by_n):
+        """The unnormalized logits and their log-sum-exp differ by the log
+        posterior, and lse - logit is its negation bit for bit."""
+        tables = tables_by_n[5]
+        g = np.random.default_rng(4).normal(size=(3, tables.n_subsets))
+        logits, lse = _partition_logits(g, tables)
+        assert lse.shape == (3, 1)
+        post = posterior_loop.partition_log_posterior(g, tables)
+        assert_same_bits(logits - lse, post)
+        assert_same_bits(lse - logits, -post)
 
 
 class TestClusteringLogPosterior:

@@ -158,6 +158,30 @@ class TestCrossEntropy:
         with pytest.raises(ShapeError):
             gradients(batch, model, plda, tables_by_n[4])
 
+    @pytest.mark.parametrize("raw_dims, quality_dims", [((4, 5, 3), (2, 2, 2)),
+                                                         ((4, 4, 4), (1, 2, 3))])
+    def test_ragged_records_are_shape_error(self, tables_by_n, rng, raw_dims,
+                                            quality_dims):
+        """Records of unequal dims in a trial are a ShapeError wherever a batch
+        is scored.  Raw dims (4, 5, 3) hold 12 = 3 x 4 values, and quality
+        dims (1, 2, 3) 6 = 3 x 2, which the rows concatenated and reshaped
+        would fill without a word."""
+        model, plda = random_model(rng)
+        trial = OctetTrial(records=tuple(
+            SegmentRecord(raw=rng.normal(size=r), quality=rng.normal(size=q), duration=1.0)
+            for r, q in zip(raw_dims, quality_dims)), truth=(1, 2, 2))
+        for score in (cross_entropy, gradients, finite_difference_check):
+            with pytest.raises(ShapeError, match="records of equal dims"):
+                score([trial], model, plda, tables_by_n[3])
+
+    def test_tuples_of_unequal_sizes_are_shape_error(self, tables_by_n, rng):
+        """Trials of 2 and 4 records hold as many as two of 3: still refused."""
+        model, plda = random_model(rng)
+        batch = random_batch(rng, 2, 1) + random_batch(rng, 4, 1)
+        for score in (cross_entropy, gradients, finite_difference_check):
+            with pytest.raises(ShapeError, match="tuples of one size"):
+                score(batch, model, plda, tables_by_n[3])
+
 
 class TestGradients:
     def test_matches_finite_differences(self, tables_by_n, rng):
@@ -396,6 +420,20 @@ class TestTrain:
         # batches)
         heldout_ces = [h[2] for h in result.history]
         assert max(heldout_ces) - min(heldout_ces) < 1e-12
+
+    def test_pinned_history(self):
+        """A small seeded n=8 run keeps its losses to the last bit.  Each
+        epoch is one step of 49 tuples (a block of 48 and a last block of
+        one) and a held-out forward of 196 (four blocks and four tuples).
+        The values were recorded with the np.sum and broadcast-maximum
+        kernels of `tests/posterior_loop.py` (numpy 2.4 on x86-64); another
+        libm or BLAS may round them differently."""
+        corpus = pd.generate_corpus(pd.SyntheticConfig(n_recordings=8, seed=0))
+        result = train(TrainConfig(batch_size=49, epochs=3, seed=0), corpus)
+        assert [(tr.hex(), ho.hex()) for _, tr, ho in result.history] == [
+            ("0x1.0fc5ce49263aap+8", "0x1.3836ae15761f7p+7"),
+            ("0x1.95bae2262b6bbp+7", "0x1.c23100d8c2ee1p+6"),
+            ("0x1.1073919dbde67p+7", "0x1.c2cab66f40739p+5")]
 
     def test_deterministic(self, small_corpus):
         cfg = TrainConfig(epochs=3, seed=4, n=4)
