@@ -107,12 +107,9 @@ def cmd_train(args):
         raise DataError(f"corpus has {len(recordings)} recording(s), all held out; "
                         f"training needs at least two")
 
-    margin = args.margin if args.margin is not None else \
-        (100.0 if args.freeze_net else 10.0)
     cfg = TrainConfig(n=args.n, batch_size=args.batch_size, lr_net=args.lr_net,
                       lr_ratio=args.lr_ratio, epochs=args.epochs, seed=args.seed,
-                      train_net=not args.freeze_net, check=args.check,
-                      margin=margin)
+                      train_net=not args.freeze_net)
     result = train(cfg, Corpus(recordings, estimate_full_plda(train_recs)))
     save_model(args.out, result.model, result.plda)
     if args.history:
@@ -229,8 +226,8 @@ def cmd_selftest(args):
 def _add_ahc_flags(p):
     """The AHC flags of diarize and sweep, which `_ahc_config` reads."""
     p.add_argument("--mode", choices=sorted(_MODES), default="book")
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--scale", type=float, default=1.0,
+    p.add_argument("--sigma", type=float, default=AhcConfig.sigma)
+    p.add_argument("--scale", type=float, default=AhcConfig.likelihood_scale,
                    help="likelihood scale, book mode only (the baseline takes 1)")
 
 
@@ -254,32 +251,28 @@ def build_parser():
         return p
 
     p = add("simulate", cmd_simulate, help="generate a synthetic corpus")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SyntheticConfig.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--rttm", help="also write the reference RTTM here")
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--recordings", type=int, default=40)
-    p.add_argument("--segments", type=int, default=24)
-    p.add_argument("--min-speakers", type=int, default=2)
-    p.add_argument("--max-speakers", type=int, default=4)
+    p.add_argument("--dim", type=int, default=SyntheticConfig.dim)
+    p.add_argument("--recordings", type=int, default=SyntheticConfig.n_recordings)
+    p.add_argument("--segments", type=int, default=SyntheticConfig.segments_per_recording)
+    p.add_argument("--min-speakers", type=int, default=SyntheticConfig.min_speakers)
+    p.add_argument("--max-speakers", type=int, default=SyntheticConfig.max_speakers)
 
     p = add("train", cmd_train, help="train extractor and PLDA on a corpus")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--history", help="loss history table output")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--lr-net", type=float, default=10.0)
-    p.add_argument("--lr-ratio", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=300)
+    p.add_argument("--n", type=int, default=TrainConfig.n)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr-net", type=float, default=TrainConfig.lr_net)
+    p.add_argument("--lr-ratio", type=float, default=TrainConfig.lr_ratio)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--freeze-net", action="store_true",
-                   help="train only PLDA and the mean transform")
-    p.add_argument("--margin", type=float,
-                   help="initial precision saturation margin "
-                        "(default 10, or 100 with --freeze-net)")
-    p.add_argument("--check", action="store_true",
-                   help="run the gradient-check gate before training")
+                   help="train only PLDA and the mean transform (PLDA-only "
+                        "system, from saturated initial precisions)")
 
     p = add("diarize", cmd_diarize, help="cluster a corpus into RTTM output")
     p.add_argument("--corpus", required=True)

@@ -98,13 +98,14 @@ def read_rttm(path) -> dict[str, Timeline]:
 
 
 def write_rttm(path, timelines):
-    """Write an iterable of Timeline as RTTM, 3-decimal times, sorted by
-    recording id then onset."""
+    """Write an iterable of Timeline as RTTM, sorted by recording id then
+    onset.  Each time is the shortest text that reads back as the same
+    float: rounded, a short turn could read back with duration zero."""
     with open(path, "w", encoding="utf-8") as fh:
         for tl in sorted(timelines, key=lambda t: t.rec_id):
             for turn in sorted(tl.turns, key=lambda t: (t.start, t.speaker)):
-                fh.write(f"SPEAKER {tl.rec_id} 1 {turn.start:.3f} {turn.duration:.3f} "
-                         f"<NA> <NA> {turn.speaker} <NA> <NA>\n")
+                fh.write(f"SPEAKER {tl.rec_id} 1 {float(turn.start)!r} "
+                         f"{float(turn.duration)!r} <NA> <NA> {turn.speaker} <NA> <NA>\n")
 
 
 def _scored_pieces(ref: Timeline, hyp: Timeline, collar: float, exact: bool):

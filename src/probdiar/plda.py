@@ -267,22 +267,11 @@ def subset_logliks(e: np.ndarray, xh: np.ndarray, tables: PartitionTables,
     return _pooled_loglik(a_bar, b_bar, work, g), a_bar, b_bar
 
 
-def partition_log_posterior(g: np.ndarray, tables: PartitionTables,
-                            out=None) -> np.ndarray:
+def partition_log_posterior(g: np.ndarray, tables: PartitionTables) -> np.ndarray:
     """Log posterior over all B_n partitions from subset log-likelihoods `g`
     (2^n - 1,) or (B, 2^n - 1): per-partition sums of g plus the log prior,
-    normalized by a log-softmax of size B_n.
-
-    `out`, optional, is (logits, q, top): float, float and bool arrays of
-    the result's shape, which then holds the result in `logits` and uses
-    `q` and `top` as scratch, allocating nothing of that size.  For a batch
-    the float buffers must be F-ordered, e.g. `np.empty((B_n, B)).T`, or a
-    block of leading rows of one: that is the layout of the logits
-    `(part_subset @ g.T).T + log_prior` gives, and the row sums of the
-    log-sum-exp run down the rows in a different order (and round
-    differently) in a C-ordered array.
-    """
-    logits, lse = _partition_logits(g, tables, out)
+    normalized by a log-softmax of size B_n."""
+    logits, lse = _partition_logits(g, tables)
     logits -= lse
     return logits
 
@@ -290,7 +279,17 @@ def partition_log_posterior(g: np.ndarray, tables: PartitionTables,
 def _partition_logits(g: np.ndarray, tables: PartitionTables, out=None):
     """The unnormalized log posterior (logits) of `partition_log_posterior`
     and its log-sum-exp per row (lse, keeping the reduced axis), whose
-    difference is the log posterior; `out` as there."""
+    difference is the log posterior.
+
+    `out`, optional, is (logits, q, top): float, float and bool arrays of
+    the logits' shape, which then holds the logits in `logits` and uses `q`
+    and `top` as scratch, allocating nothing of that size.  For a batch the
+    float buffers must be F-ordered, e.g. `np.empty((B_n, B)).T`, or a block
+    of leading rows of one: that is the layout of the logits
+    `(part_subset @ g.T).T + log_prior` gives, and the row sums of the
+    log-sum-exp run down the rows in a different order (and round
+    differently) in a C-ordered array.
+    """
     logits, q, top = out if out is not None else (None,) * 3
     logits = np.add((tables.part_subset @ g.T).T, tables.log_prior, out=logits)
     # Log-sum-exp rounded as scipy's logsumexp rounds it, so the posterior

@@ -33,6 +33,9 @@ class OctetTrial:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of `train`.  The `train` command's flags take their defaults
+    from here, and `--freeze-net` is `train_net=False`."""
+
     n: int = 8
     batch_size: int = 100
     lr_net: float = 10.0
@@ -41,16 +44,20 @@ class TrainConfig:
     seed: int = 0
     crp: CrpParams | None = None  # fitted to the corpus when None
     train_net: bool = True      # False freezes the precision net (PLDA-only mode)
-    check: bool = False         # gradient-check gate before training
-    margin: float = 10.0        # saturation margin of the initial precisions;
-                                # use a large margin with train_net=False so the
-                                # frozen net keeps extracting large precisions
 
     def __post_init__(self):
         if not 0 <= self.lr_net < np.inf or not 0 < self.lr_ratio <= 1:
             raise DomainError("lr_net must be finite and nonnegative, lr_ratio in (0, 1]")
         if self.batch_size < 1 or self.n < 2 or self.epochs < 0:
             raise DomainError("batch_size, n and epochs out of range")
+
+    @property
+    def margin(self) -> float:
+        """Saturation margin of the initial precisions (`init_extractor`'s):
+        10 when the net trains, 100 when it is frozen.  A frozen net must
+        keep extracting saturated precisions, so that the system scores
+        like plug-in PLDA and only the PLDA and the transform differ."""
+        return 10.0 if self.train_net else 100.0
 
 
 def sample_octets(recordings, n: int, rng):
@@ -106,7 +113,7 @@ class _Workspace:
     """Buffers of `_forward_backward` for blocks of `rows` tuples, clamped to
     [2, _TUPLE_BLOCK]: (rows, 2^n - 1) subset log-likelihoods, five
     (rows, 2^n - 1, D) arrays (the pooled stats and three scratch arrays)
-    and the (rows, B_n) posterior buffers of `partition_log_posterior`,
+    and the (rows, B_n) posterior buffers of `_partition_logits`,
     F-ordered as it needs.  One workspace serves every batch size: a block
     uses its leading rows, and everything it reads there it has written
     first.  `_forward_backward` needs two rows for a batch of two or more."""
@@ -143,7 +150,7 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
     size allocates no (B, B_n) or (B, 2^n - 1, D) array.  The in-place
     operations keep the order of the unblocked expressions, each tuple is
     reduced on its own, and the posterior buffers are F-ordered like the
-    unblocked logits (see `partition_log_posterior`), so the loss and
+    unblocked logits (see `_partition_logits`), so the loss and
     gradients have the bits of an unblocked pass.  Without gradients a
     block is not normalized: the loss reads only the true partition's logit
     and the block's log-sum-exp.  The extractor's forward and the parameter
@@ -266,11 +273,11 @@ def finite_difference_check(batch, model: ExtractorModel, plda: DiagPlda,
     a tiny step noisier than 1e-5 relative on small gradient components).
 
     The step is 1e-3 and the relative-error denominator max(|analytic|,
-    |numeric|, floor), floor 1e-6.  As a `gate` (training's check and the
-    self-test's) the floor is raised to a fraction of the largest gradient
-    magnitude, so that components whose true gradient sits at the
-    finite-difference noise level (e.g. at a saturated initialization) do not
-    dominate the reported error, and an error above 1e-4 is a TrainingError.
+    |numeric|, floor), floor 1e-6.  As a `gate`, which `probdiar selftest`
+    runs at a saturated initialization, the floor is raised to a fraction of
+    the largest gradient magnitude, so that components whose true gradient
+    sits at the finite-difference noise level do not dominate the reported
+    error, and an error above 1e-4 is a TrainingError.
     """
     raw, quality, truth = _batch_arrays(batch, tables)
     ws = _Workspace(tables, plda.dim, len(batch))
@@ -327,9 +334,9 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
           tables: PartitionTables | None = None) -> TrainResult:
     """Plain SGD on the octet cross-entropy with two learning-rate groups:
     the precision net at lr_net, the transform and PLDA at lr_net * lr_ratio.
-    Without `init`, the model starts from `init_extractor(corpus.full_plda)`;
-    without `tables`, they are built for cfg.n under cfg.crp (fitted to the
-    corpus when None).
+    Without `init`, the model starts from `init_extractor(corpus.full_plda)`
+    at `cfg.margin`; without `tables`, they are built for cfg.n under
+    cfg.crp (fitted to the corpus when None).
 
     Deterministic given cfg.seed.  Raises TrainingError (carrying the last
     finite checkpoint) if the loss becomes non-finite, and also (without
@@ -353,7 +360,7 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
             quality_dim=train_recs[0].records[0].quality.shape[0])
 
     root = np.random.SeedSequence(cfg.seed)
-    ss_sampler, ss_heldout, ss_check = root.spawn(3)
+    ss_sampler, ss_heldout = root.spawn(2)
     stream = sample_octets(train_recs, cfg.n, np.random.default_rng(ss_sampler))
 
     # one workspace for every step and held-out forward
@@ -367,13 +374,6 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
             heldout = _batch_arrays([next(hstream) for _ in range(n_held)], tables)
         except DataError:
             pass  # no held-out recording has n segments: as if there were none
-
-    if cfg.check:
-        crng = np.random.default_rng(ss_check)
-        cstream = sample_octets(train_recs, cfg.n, crng)
-        for _ in range(10):
-            batch = [next(cstream) for _ in range(2)]
-            finite_difference_check(batch, model, plda, tables, gate=True)
 
     params = _get_params(model, plda)
     slow = {"log_w", "A"}

@@ -235,8 +235,7 @@ def end_to_end():
            "scale_full": [], "scale_untr": []}
     for seed in (0, 1, 2):
         full = train(TrainConfig(seed=seed), corpus)
-        ponly = train(TrainConfig(seed=seed, train_net=False, margin=100.0),
-                      corpus)
+        ponly = train(TrainConfig(seed=seed, train_net=False), corpus)
         um, up = init_extractor(corpus.full_plda, seed=seed, margin=100.0,
                                 quality_dim=2)
 

@@ -57,17 +57,22 @@ class TestTrain:
         assert lines[0] == "epoch\ttrain_ce\theldout_ce"
         assert len(lines) == 3
 
-    def test_model_file_equals_library_train(self, workdir, tmp_path):
+    @pytest.mark.parametrize("freeze", [False, True], ids=["joint", "plda_only"])
+    def test_model_file_equals_library_train(self, workdir, tmp_path, freeze):
         """The command trains `train` on a Corpus whose first quarter of
-        recordings is held out, with the model estimated from the rest."""
+        recordings is held out, with the model estimated from the rest;
+        `--freeze-net` is `train_net=False`, saturated start included."""
+        assert run(["train", "--corpus", str(workdir / "corpus.tsv"),
+                    "--out", str(tmp_path / "cli.txt"), "--n", "4", "--epochs", "2",
+                    *(["--freeze-net"] if freeze else [])]) == 0
         recs = load_corpus(workdir / "corpus.tsv")
         recs = [replace(r, split="heldout" if i < 2 else "train")
                 for i, r in enumerate(recs)]
-        result = train(TrainConfig(n=4, epochs=2),
+        result = train(TrainConfig(n=4, epochs=2, train_net=not freeze),
                        Corpus(recs, estimate_full_plda(recs[2:])))
         save_model(tmp_path / "lib.txt", result.model, result.plda)
         assert (tmp_path / "lib.txt").read_bytes() == \
-            (workdir / "model.txt").read_bytes()
+            (tmp_path / "cli.txt").read_bytes()
 
     def test_one_recording_corpus_is_data_error(self, workdir, tmp_path, capsys):
         """The only recording is held out, which leaves nothing to train on."""
@@ -78,14 +83,6 @@ class TestTrain:
         assert run(["train", "--corpus", str(one), "--out", str(tmp_path / "m.txt"),
                     "--n", "4", "--epochs", "1"]) == 2
         assert "[data]" in capsys.readouterr().err
-
-    def test_failed_gradient_check_is_numeric_error(self, workdir, tmp_path, capsys,
-                                                    skewed_gradients):
-        assert run(["train", "--corpus", str(workdir / "corpus.tsv"),
-                    "--out", str(tmp_path / "m.txt"), "--n", "4", "--epochs", "0",
-                    "--check"]) == 3
-        assert "[numeric] gradient check failed" in capsys.readouterr().err
-        assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("rec, stage", [("rec0000", "held-out cross-entropy"),
                                             ("rec0005", "PLDA estimate")])
@@ -130,6 +127,21 @@ class TestDiarize:
                     "--model", str(workdir / "model.txt"), "--out", str(out),
                     "--mode", "baseline"]) == 0
         assert out.read_text().splitlines() == lines
+
+    def test_tiny_segment_scores(self, workdir, tmp_path, capsys):
+        """A 0.4-ms segment keeps a positive duration in the hypothesis RTTM,
+        so `score` reads it back."""
+        lines = (workdir / "corpus.tsv").read_text().splitlines()
+        parts = lines[0].split("\t")
+        parts[3] = "0.0004"
+        lines[0] = "\t".join(parts)
+        (tmp_path / "c.tsv").write_text("\n".join(lines) + "\n")
+        hyp = tmp_path / "hyp.rttm"
+        assert run(["diarize", "--corpus", str(tmp_path / "c.tsv"),
+                    "--model", str(workdir / "model.txt"), "--out", str(hyp)]) == 0
+        assert run(["score", "--ref", str(workdir / "ref.rttm"), "--hyp", str(hyp)]) == 0
+        assert "OVERALL" in capsys.readouterr().out
+        assert " 0.0004 " in hyp.read_text()
 
     def test_baseline_mode(self, workdir, tmp_path):
         out = tmp_path / "hyp.rttm"
@@ -677,3 +689,17 @@ class TestSelftest:
         monkeypatch.setattr("probdiar.cli.enumerate_rgs", lambda n: [])
         assert run(["selftest"]) == 3
         assert "[numeric] selftest failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, message", [
+        ("check", "selftest failed: gradient rel error"),
+        ("gate", "gradient check failed: rel error")])
+    def test_wrong_gradients_are_numeric_error(self, monkeypatch, capsys,
+                                               skewed_gradients, section, message):
+        """Gradients 1% off fail the plain gradient check; with its result
+        ignored they fail the gate at initialization instead."""
+        if section == "gate":
+            monkeypatch.setattr("probdiar.cli._check", lambda ok, what: None)
+        assert run(["selftest"]) == 3
+        captured = capsys.readouterr()
+        assert f"[numeric] {message}" in captured.err
+        assert "selftest passed" not in captured.out

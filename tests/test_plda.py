@@ -280,8 +280,9 @@ class TestSameBits:
 
     @staticmethod
     def posteriors(g, tables):
-        """partition_log_posterior of g, fresh and in the leading rows of
-        F-ordered buffers of a larger block, with the frozen one's."""
+        """partition_log_posterior of g, fresh and from the logits of
+        `_partition_logits` in the leading rows of F-ordered buffers of a
+        larger block, with the frozen one's."""
         rows = max(g.shape[0] + 2, 4) if g.ndim == 2 else None
         with np.errstate(invalid="ignore"):
             want = posterior_loop.partition_log_posterior(g, tables)
@@ -290,7 +291,8 @@ class TestSameBits:
                 m, b = g.shape[0], tables.n_partitions
                 bufs = (np.empty((b, rows)).T, np.empty((b, rows)).T,
                         np.empty((b, rows), dtype=bool).T)
-                got.append(partition_log_posterior(g, tables, out=tuple(x[:m] for x in bufs)))
+                logits, lse = _partition_logits(g, tables, out=tuple(x[:m] for x in bufs))
+                got.append(logits - lse)
         return got, want
 
     @pytest.mark.parametrize("n", [2, 4, 6])

@@ -454,26 +454,12 @@ class TestTrain:
         assert last_heldout < first_heldout
 
     def test_frozen_net_mode(self, small_corpus):
-        cfg = TrainConfig(epochs=3, seed=0, n=4, train_net=False, margin=100.0)
+        cfg = TrainConfig(epochs=3, seed=0, n=4, train_net=False)
         result = train(cfg, small_corpus)
         init_model, _ = pd.init_extractor(
             small_corpus.full_plda, seed=0, margin=100.0, quality_dim=2)
         np.testing.assert_array_equal(result.model.W1, init_model.W1)
         np.testing.assert_array_equal(result.model.b2, init_model.b2)
-
-    def test_gradient_check_gate_passes(self, small_corpus):
-        """The gate draws its octets from its own stream: the trained model
-        is the one training without it gives."""
-        cfg = TrainConfig(n=4, epochs=1, seed=0)
-        checked = train(replace(cfg, check=True), small_corpus)
-        plain = train(cfg, small_corpus)
-        np.testing.assert_array_equal(checked.model.W1, plain.model.W1)
-        np.testing.assert_array_equal(checked.plda.w, plain.plda.w)
-        assert checked.history == plain.history
-
-    def test_gradient_check_gate_fails(self, small_corpus, skewed_gradients):
-        with pytest.raises(TrainingError, match=r"gradient check failed: rel error 9\.\d+e-03"):
-            train(TrainConfig(n=4, epochs=0, seed=0, check=True), small_corpus)
 
     def test_divergence_carries_checkpoint(self, small_corpus):
         cfg = TrainConfig(epochs=5, seed=0, n=4, lr_net=1e18, lr_ratio=1.0)
