@@ -20,12 +20,14 @@ from .clustering import AhcConfig
 from .errors import DataError, ProbdiarError, TrainingError
 from .evalkit import aggregate_der, der, read_rttm, report_rows, report_table, write_rttm
 from .extractor import (Corpus, ExtractorModel, SegmentRecord, SyntheticConfig,
-                        estimate_full_plda, generate_corpus, init_extractor)
+                        estimate_full_plda, generate_corpus, init_extractor,
+                        split_names)
 from .io import (MODEL_FORMAT_VERSION, load_corpus, load_model, save_corpus,
                  save_history, save_model, text_lines)
 from .partitions import (CrpParams, bell_number, build_tables, canonicalize,
                          enumerate_rgs)
-from .pipeline import diarize_corpus, reference_timeline, sweep, sweep_table
+from .pipeline import (SWEEP_PARAMS, diarize_corpus, reference_timeline, sweep,
+                       sweep_table)
 from .plda import (DiagPlda, EmbeddingBatch, ProbEmbedding, _pooled_loglik,
                    clustering_log_posterior, segment_stats)
 from .training import (OctetTrial, TrainConfig, finite_difference_check,
@@ -96,17 +98,12 @@ def cmd_simulate(args):
 
 
 def cmd_train(args):
+    """Train on the corpus file split by `split_names` as `generate_corpus`
+    splits it, the two-covariance model estimated from its training split."""
     recordings = load_corpus(args.corpus)
-    # hold out a fraction of recordings (disjoint speakers: the synthetic
-    # generator never shares speakers across recordings)
-    n_held = max(1, int(round(0.25 * len(recordings))))
-    recordings = [replace(rec, split="heldout" if i < n_held else "train")
-                  for i, rec in enumerate(recordings)]
-    train_recs = recordings[n_held:]
-    if not train_recs:
-        raise DataError(f"corpus has {len(recordings)} recording(s), all held out; "
-                        f"training needs at least two")
-
+    splits = split_names(len(recordings), SyntheticConfig.holdout_fraction)
+    recordings = [replace(rec, split=split) for rec, split in zip(recordings, splits)]
+    train_recs = [rec for rec in recordings if rec.split == "train"]
     cfg = TrainConfig(n=args.n, batch_size=args.batch_size, lr_net=args.lr_net,
                       lr_ratio=args.lr_ratio, epochs=args.epochs, seed=args.seed,
                       train_net=not args.freeze_net)
@@ -165,6 +162,7 @@ def _check(ok, what):
 
 
 def cmd_selftest(args):
+    synth = SyntheticConfig(n_recordings=4, segments_per_recording=12, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     print("partition counts...", end=" ")
     for n in range(1, 9):
@@ -211,10 +209,10 @@ def cmd_selftest(args):
     _check(err < 1e-5, f"gradient rel error {err:.2e}")
     print(f"ok (max rel error {err:.2e})")
 
-    print("training gradient-check gate at initialization...", end=" ")
-    corpus = generate_corpus(SyntheticConfig(n_recordings=4, segments_per_recording=12,
-                                             seed=args.seed))
-    model_i, plda_i = init_extractor(corpus.full_plda, seed=args.seed, margin=100.0)
+    print("gradient-check gate at a saturated initialization...", end=" ")
+    corpus = generate_corpus(synth)
+    model_i, plda_i = init_extractor(corpus.full_plda, seed=args.seed,
+                                     margin=TrainConfig(train_net=False).margin)
     stream = sample_octets(corpus, n, rng)
     batch = [next(stream) for _ in range(3)]
     err = finite_difference_check(batch, model_i, plda_i, tables, gate=True)
@@ -225,7 +223,8 @@ def cmd_selftest(args):
 
 def _add_ahc_flags(p):
     """The AHC flags of diarize and sweep, which `_ahc_config` reads."""
-    p.add_argument("--mode", choices=sorted(_MODES), default="book")
+    p.add_argument("--mode", choices=sorted(_MODES),
+                   default=next(k for k, v in _MODES.items() if v == AhcConfig.mode))
     p.add_argument("--sigma", type=float, default=AhcConfig.sigma)
     p.add_argument("--scale", type=float, default=AhcConfig.likelihood_scale,
                    help="likelihood scale, book mode only (the baseline takes 1)")
@@ -290,13 +289,13 @@ def build_parser():
     p.add_argument("--corpus", required=True, help="dev corpus")
     p.add_argument("--eval-corpus")
     p.add_argument("--model", required=True)
-    p.add_argument("--param", choices=("sigma", "scale"), required=True)
+    p.add_argument("--param", choices=SWEEP_PARAMS, required=True)
     p.add_argument("--values", type=float_list, required=True,
                    help="comma-separated grid")
     _add_ahc_flags(p)
 
     p = add("selftest", cmd_selftest, help="gradient check and scoring equivalence")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SyntheticConfig.seed)
     # required options may come from --config, so run checks them once the
     # file is read
     for p in sub.choices.values():

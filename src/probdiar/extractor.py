@@ -141,7 +141,7 @@ def extract(rec: SegmentRecord, model: ExtractorModel) -> ProbEmbedding:
     return ProbEmbedding(batch.xhat[0], batch.prec[0])
 
 
-def init_extractor(full: FullPlda, seed: int, margin: float = 100.0,
+def init_extractor(full: FullPlda, seed: int, margin: float,
                    quality_dim: int = QUALITY_DIM) -> tuple[ExtractorModel, DiagPlda]:
     """Initialize extractor and diagonal PLDA from an untransformed model.
 
@@ -149,6 +149,7 @@ def init_extractor(full: FullPlda, seed: int, margin: float = 100.0,
     (2 * dim hidden units) is initialized with small random weights and an
     output bias high enough that every precision exceeds margin times the
     within-speaker precision, so the initial system scores like plug-in PLDA.
+    `margin` has no default: `TrainConfig.margin` owns its value.
     """
     if not margin > 0:
         raise DomainError(f"margin must be positive, got {margin}")
@@ -183,10 +184,20 @@ class SyntheticConfig:
         if min(self.dim, self.n_recordings,
                self.segments_per_recording, self.min_speakers) < 1:
             raise DomainError("all size parameters must be positive")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.max_speakers < self.min_speakers:
             raise DomainError("max_speakers must be >= min_speakers")
         if not 0 <= self.holdout_fraction < 1:
             raise DomainError("holdout_fraction must be in [0, 1)")
+
+
+def split_names(n_recordings: int, holdout_fraction: float) -> list[str]:
+    """The splits of n recordings in order, as `generate_corpus` and the
+    `train` command assign them: the first round(holdout_fraction * n) (half
+    to even) are "heldout", the rest "train"."""
+    n_heldout = round(holdout_fraction * n_recordings)
+    return ["heldout"] * n_heldout + ["train"] * (n_recordings - n_heldout)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,11 +316,11 @@ def generate_corpus(cfg: SyntheticConfig) -> Corpus:
     chol_b = np.linalg.cholesky(between)
     chol_w = np.linalg.cholesky(within)
 
-    n_heldout = int(round(cfg.holdout_fraction * cfg.n_recordings))
     rec_rngs = [np.random.default_rng(s) for s in ss_rec.spawn(cfg.n_recordings)]
+    splits = split_names(cfg.n_recordings, cfg.holdout_fraction)
 
     recordings = []
-    for ri, rrng in enumerate(rec_rngs):
+    for ri, (rrng, split) in enumerate(zip(rec_rngs, splits)):
         n_spk = int(rrng.integers(cfg.min_speakers, cfg.max_speakers + 1))
         speakers = chol_b @ rrng.normal(size=(cfg.dim, n_spk))
         n_seg = cfg.segments_per_recording
@@ -336,7 +347,7 @@ def generate_corpus(cfg: SyntheticConfig) -> Corpus:
                      for x, q, dur in zip(raw, quality, durations)],
             labels=canonicalize(spk_idx.tolist()),
             starts=np.concatenate(([0.0], np.cumsum(durations[:-1]))),
-            split="heldout" if ri < n_heldout else "train",
+            split=split,
             oracle_prec=1.0 / np.exp(log_var),
         ))
     return Corpus(recordings=recordings, full_plda=full)

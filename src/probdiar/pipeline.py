@@ -12,6 +12,10 @@ from .extractor import ExtractorModel, extract_batch
 from .plda import DiagPlda
 
 
+# the parameters `sweep` tunes, by name, and the `AhcConfig` field of each
+SWEEP_PARAMS = {"sigma": "sigma", "scale": "likelihood_scale"}
+
+
 def _speakers(labels) -> list[str]:
     return [f"spk{lab}" for lab in labels]
 
@@ -76,11 +80,10 @@ def sweep(param: str, values, dev_recordings, eval_recordings,
     (value, dev_der, eval_der) and best_value minimizes dev DER.  Rows equal
     `evaluate` per value, but each recording is extracted once, clustered
     once per likelihood scale and scored once per distinct labelling."""
-    if param not in ("sigma", "scale"):
-        raise ValueError(f"sweep parameter must be 'sigma' or 'scale', got {param!r}")
+    if param not in SWEEP_PARAMS:
+        raise ValueError(f"sweep parameter {param!r} not in {list(SWEEP_PARAMS)}")
     values = [float(v) for v in values]
-    field = "sigma" if param == "sigma" else "likelihood_scale"
-    cfgs = [replace(base_cfg, **{field: v}) for v in values]
+    cfgs = [replace(base_cfg, **{SWEEP_PARAMS[param]: v}) for v in values]
     dev = [r.der for r in _sweep_ders(dev_recordings, cfgs, model, plda)]
     evl = [r.der for r in _sweep_ders(eval_recordings, cfgs, model, plda)] \
         if eval_recordings else [float("nan")] * len(cfgs)

@@ -123,10 +123,6 @@ class FullPlda:
         except np.linalg.LinAlgError as exc:
             raise DomainError("within_cov must be positive definite") from exc
 
-    @property
-    def dim(self) -> int:
-        return self.between_cov.shape[0]
-
 
 def joint_diagonalize(model: FullPlda) -> tuple[np.ndarray, DiagPlda]:
     """Transform T with T B T' = I and T W_cov T' diagonal.

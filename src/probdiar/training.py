@@ -50,6 +50,8 @@ class TrainConfig:
             raise DomainError("lr_net must be finite and nonnegative, lr_ratio in (0, 1]")
         if self.batch_size < 1 or self.n < 2 or self.epochs < 0:
             raise DomainError("batch_size, n and epochs out of range")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def margin(self) -> float:

@@ -7,7 +7,8 @@ import pytest
 
 from probdiar.cli import _config_flags, build_parser, run
 from probdiar.errors import DataError, ProbdiarError
-from probdiar.extractor import Corpus, SyntheticConfig, estimate_full_plda
+from probdiar.extractor import (Corpus, SyntheticConfig, estimate_full_plda,
+                                generate_corpus)
 from probdiar.io import load_corpus, load_model, save_corpus, save_model
 from probdiar.plda import DiagPlda
 from probdiar.training import TrainConfig, train
@@ -74,15 +75,51 @@ class TestTrain:
         assert (tmp_path / "lib.txt").read_bytes() == \
             (tmp_path / "cli.txt").read_bytes()
 
-    def test_one_recording_corpus_is_data_error(self, workdir, tmp_path, capsys):
-        """The only recording is held out, which leaves nothing to train on."""
+    @pytest.mark.parametrize("n_recordings", [1, 2, 3, 6])
+    def test_split_equals_generated_corpus(self, tmp_path, n_recordings):
+        """The command splits a corpus file as `generate_corpus` split the
+        corpus written to it: round(0.25 n) recordings held out, so none of
+        one or two."""
+        cfg = SyntheticConfig(dim=4, n_recordings=n_recordings,
+                              segments_per_recording=10, seed=1)
+        generated = generate_corpus(cfg)
+        save_corpus(tmp_path / "c.tsv", generated)
+        assert run(["train", "--corpus", str(tmp_path / "c.tsv"),
+                    "--out", str(tmp_path / "cli.txt"), "--n", "4", "--epochs", "2"]) == 0
+        recs = [replace(r, split=g.split)
+                for r, g in zip(load_corpus(tmp_path / "c.tsv"), generated, strict=True)]
+        result = train(TrainConfig(n=4, epochs=2),
+                       Corpus(recs, estimate_full_plda(r for r in recs
+                                                       if r.split == "train")))
+        save_model(tmp_path / "lib.txt", result.model, result.plda)
+        assert (tmp_path / "lib.txt").read_bytes() == \
+            (tmp_path / "cli.txt").read_bytes()
+
+    def test_one_recording_corpus_trains(self, workdir, tmp_path, capsys):
+        """The only recording is trained on, and with none held out the
+        held-out cross-entropy is NaN."""
         one = tmp_path / "one.tsv"
         lines = (workdir / "corpus.tsv").read_text().splitlines()
         one.write_text("\n".join(ln for ln in lines
                                  if ln.split("\t")[0] == "rec0000") + "\n")
         assert run(["train", "--corpus", str(one), "--out", str(tmp_path / "m.txt"),
-                    "--n", "4", "--epochs", "1"]) == 2
-        assert "[data]" in capsys.readouterr().err
+                    "--history", str(tmp_path / "h.tsv"), "--n", "4",
+                    "--epochs", "1"]) == 0
+        assert (tmp_path / "h.tsv").read_text().splitlines()[1].split("\t")[2] == "nan"
+        assert "held-out CE nan" in capsys.readouterr().out
+
+    def test_no_recording_of_n_segments_is_data_error(self, workdir, tmp_path, capsys):
+        """Recordings shorter than n are skipped with a warning; with none
+        left there is no tuple to train on."""
+        short = tmp_path / "short.tsv"
+        lines = (workdir / "corpus.tsv").read_text().splitlines()
+        short.write_text("\n".join(ln for ln in lines
+                                   if int(ln.split("\t")[1][-4:]) < 3) + "\n")
+        with pytest.warns(UserWarning, match="fewer than 4 segments"):
+            assert run(["train", "--corpus", str(short), "--out", str(tmp_path / "m.txt"),
+                        "--n", "4", "--epochs", "1"]) == 2
+        assert "[data] no recording has at least 4 segments" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("rec, stage", [("rec0000", "held-out cross-entropy"),
                                             ("rec0005", "PLDA estimate")])
@@ -661,6 +698,20 @@ class TestErrorsAndUsage:
         assert f"[data] {bad} is not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    "simulate --out {tmp}/out --seed -1",
+    "train --corpus {corpus} --out {tmp}/out --n 4 --epochs 1 --seed -1",
+    "selftest --seed -1"], ids=["simulate", "train", "selftest"])
+def test_negative_seed_is_numeric_error(workdir, tmp_path, capsys, argv):
+    """Its config class rejects a negative seed before any draw."""
+    argv = argv.format(tmp=tmp_path, corpus=workdir / "corpus.tsv").split()
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert "[numeric] seed must be nonnegative, got -1" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def _error_classes(cls=ProbdiarError):
     return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
 
@@ -681,9 +732,15 @@ def test_exit_code_follows_error_class(monkeypatch, capsys, cls):
 
 class TestSelftest:
     def test_passes(self, capsys):
+        """The sections print in order, with the errors of seed 0."""
         assert run(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "selftest passed" in out
+        assert capsys.readouterr().out.splitlines() == [
+            "partition counts... ok",
+            "pooled posterior vs exhaustive per-partition scoring... ok",
+            "analytic gradients vs finite differences... ok (max rel error 5.77e-10)",
+            "gradient-check gate at a saturated initialization... "
+            "ok (max rel error 1.21e-08)",
+            "selftest passed"]
 
     def test_failing_check_is_numeric_error(self, monkeypatch, capsys):
         monkeypatch.setattr("probdiar.cli.enumerate_rgs", lambda n: [])

@@ -13,7 +13,8 @@ from probdiar.errors import DomainError, ShapeError
 from probdiar.extractor import (QUALITY_DIM, Corpus, ExtractorModel, Recording,
                                 SegmentRecord, SyntheticConfig,
                                 estimate_full_plda, extract, extract_batch,
-                                generate_corpus, init_extractor, inv_softplus, softplus)
+                                generate_corpus, init_extractor, inv_softplus, softplus,
+                                split_names)
 from probdiar.plda import clustering_log_posterior, joint_diagonalize
 
 from . import corpus_loop
@@ -168,6 +169,22 @@ class TestInitExtractor:
 
 
 class TestGenerateCorpus:
+    def test_heldout_split(self):
+        """The first round(0.25 n) recordings are held out, half to even."""
+        for n, n_heldout in zip(range(1, 9), [0, 0, 1, 1, 1, 2, 2, 2]):
+            cfg = SyntheticConfig(dim=2, n_recordings=n, segments_per_recording=1)
+            assert [r.split for r in generate_corpus(cfg)] == \
+                split_names(n, 0.25) == \
+                ["heldout"] * n_heldout + ["train"] * (n - n_heldout)
+
+    def test_seed_range(self):
+        """Any nonnegative seed works, also one of 2^64 or more."""
+        with pytest.raises(DomainError, match="seed must be nonnegative"):
+            SyntheticConfig(seed=-1)
+        big = SyntheticConfig(dim=2, n_recordings=1, segments_per_recording=1,
+                              seed=2 ** 64)
+        assert len(generate_corpus(big).recordings) == 1
+
     def test_deterministic(self):
         cfg = SyntheticConfig(n_recordings=3, segments_per_recording=6, seed=5)
         a, b = generate_corpus(cfg), generate_corpus(cfg)

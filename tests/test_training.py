@@ -541,6 +541,9 @@ class TestTrain:
             TrainConfig(lr_ratio=0.0)
         with pytest.raises(DomainError):
             TrainConfig(n=1)
+        with pytest.raises(DomainError, match="seed must be nonnegative"):
+            TrainConfig(seed=-1)
+        assert TrainConfig(seed=2 ** 64).seed == 2 ** 64
 
     @pytest.mark.parametrize("field, value", [
         ("lr_net", np.nan), ("lr_net", np.inf), ("lr_ratio", np.nan)])
@@ -567,7 +570,8 @@ class TestTrain:
                 Recording(r.rec_id, r.records[:5], r.labels[:5], r.starts[:5],
                           "heldout")
                 for r in small_corpus.recordings]
-        init = pd.init_extractor(small_corpus.full_plda, seed=0, quality_dim=2)
+        init = pd.init_extractor(small_corpus.full_plda, seed=0, margin=100.0,
+                                 quality_dim=2)
         with pytest.warns(UserWarning, match="fewer than 8 segments"):
             result = train(TrainConfig(epochs=2, seed=0),
                            Corpus(recs, small_corpus.full_plda), init=init)
