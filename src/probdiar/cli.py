@@ -35,7 +35,6 @@ from .training import (OctetTrial, TrainConfig, finite_difference_check,
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 1, 2, 3
 
-_MODES = {"baseline": "baseline", "book": "by_the_book"}
 _BOOLEANS = {"true": True, "yes": True, "1": True,
              "false": False, "no": False, "0": False}
 
@@ -117,9 +116,23 @@ def cmd_train(args):
     return 0
 
 
+def _load_inputs(model_path, *corpus_paths):
+    """The recordings of each corpus file (none for a path of None), then the
+    model and PLDA of `model_path`; a corpus whose raw or quality dim is not
+    the model's input dim is a DataError."""
+    corpora = [load_corpus(path) if path else [] for path in corpus_paths]
+    model, plda = load_model(model_path)
+    want = (model.raw_dim, model.W1.shape[1])
+    for path, recordings in zip(corpus_paths, corpora):
+        dims = {(sr.raw.size, sr.quality.size) for rec in recordings for sr in rec.records}
+        if dims - {want}:   # one pair per file, as `load_corpus` checks
+            raise DataError(f"corpus {path} has (raw, quality) dims {dims.pop()}, but "
+                            f"model {model_path} takes {want}")
+    return corpora, model, plda
+
+
 def cmd_diarize(args):
-    recordings = load_corpus(args.corpus)
-    model, plda = load_model(args.model)
+    (recordings,), model, plda = _load_inputs(args.model, args.corpus)
     hyps = diarize_corpus(recordings, model, plda, _ahc_config(args))
     write_rttm(args.out, hyps.values())
     print(f"wrote {len(hyps)} recordings to {args.out}")
@@ -146,9 +159,7 @@ def cmd_score(args):
 
 
 def cmd_sweep(args):
-    dev = load_corpus(args.corpus)
-    evl = load_corpus(args.eval_corpus) if args.eval_corpus else []
-    model, plda = load_model(args.model)
+    (dev, evl), model, plda = _load_inputs(args.model, args.corpus, args.eval_corpus)
     rows, best = sweep(args.param, args.values, dev, evl, model, plda, _ahc_config(args))
     print(sweep_table(args.param, rows))
     print(f"best {args.param} on dev: {best:g}")
@@ -223,15 +234,17 @@ def cmd_selftest(args):
 
 def _add_ahc_flags(p):
     """The AHC flags of diarize and sweep, which `_ahc_config` reads."""
-    p.add_argument("--mode", choices=sorted(_MODES),
-                   default=next(k for k, v in _MODES.items() if v == AhcConfig.mode))
-    p.add_argument("--sigma", type=float, default=AhcConfig.sigma)
-    p.add_argument("--scale", type=float, default=AhcConfig.likelihood_scale,
-                   help="likelihood scale, book mode only (the baseline takes 1)")
+    p.add_argument("--mode", choices=sorted(AhcConfig.MODES),
+                   default=next(k for k, v in AhcConfig.MODES.items() if v == AhcConfig.mode))
+    helps = {"scale": "likelihood scale, book mode only (the baseline takes 1)"}
+    for name, field in SWEEP_PARAMS.items():
+        p.add_argument(f"--{name}", type=float, default=getattr(AhcConfig, field),
+                       help=helps.get(name))
 
 
 def _ahc_config(args):
-    return AhcConfig(mode=_MODES[args.mode], sigma=args.sigma, likelihood_scale=args.scale)
+    return AhcConfig(mode=AhcConfig.MODES[args.mode],
+                     **{field: getattr(args, name) for name, field in SWEEP_PARAMS.items()})
 
 
 def build_parser():

@@ -41,12 +41,14 @@ _PAIR_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class AhcConfig:
-    mode: str = "by_the_book"       # "baseline" or "by_the_book"
+    MODES = {"baseline": "baseline", "book": "by_the_book"}   # by command-line name
+
+    mode: str = "by_the_book"       # a value of MODES
     sigma: float = 0.0              # stopping threshold / calibration offset
     likelihood_scale: float = 1.0   # down-weights per-segment statistics (book only)
 
     def __post_init__(self):
-        if self.mode not in ("baseline", "by_the_book"):
+        if self.mode not in self.MODES.values():
             raise DomainError(f"unknown AHC mode {self.mode!r}")
         if not 0 < self.likelihood_scale < np.inf:
             raise DomainError("likelihood_scale must be positive and finite")
@@ -180,12 +182,7 @@ def _book_trace(emb: EmbeddingBatch, plda: DiagPlda, scale: float) -> MergeTrace
 
 def ahc_by_the_book(emb: EmbeddingBatch, plda: DiagPlda,
                     cfg: AhcConfig) -> tuple[int, ...]:
-    """Greedy maximum-likelihood AHC.
-
-    Starts from singletons; each iteration merges the pair with the largest
-    likelihood gain, provided it exceeds cfg.sigma.  Ties break on the lowest
-    pair of cluster ids (ids are the smallest member segment index).
-    """
+    """`ahc` in by-the-book mode, whatever cfg.mode names."""
     return cut(_book_trace(emb, plda, cfg.likelihood_scale), cfg.sigma)
 
 
@@ -250,26 +247,28 @@ def _baseline_trace(emb: EmbeddingBatch, plda: DiagPlda) -> MergeTrace:
 
 def ahc_baseline(emb: EmbeddingBatch, plda: DiagPlda,
                  cfg: AhcConfig) -> tuple[int, ...]:
-    """Weighted average-linkage (WPGMA) AHC over plug-in pairwise LLR scores.
-
-    The similarity row of a merged cluster is the arithmetic mean of its two
-    parents' rows, whatever their sizes.  Merging stops when the best
-    similarity falls below the unsupervised-calibration threshold plus the
-    cfg.sigma offset.
-    """
+    """`ahc` in baseline mode, whatever cfg.mode names."""
     return cut(_baseline_trace(emb, plda), cfg.sigma)
 
 
 def merge_trace(emb: EmbeddingBatch, plda: DiagPlda, cfg: AhcConfig) -> MergeTrace:
-    """The sigma-free merge trace of cfg.mode: `cut(trace, s)` equals `ahc`
-    with sigma s, for any s (a single segment gives an empty trace)."""
+    """The sigma-free merge trace of cfg.mode, which `ahc` cuts at cfg.sigma
+    and `cuts` at any sigmas (a single segment gives an empty trace)."""
     if cfg.mode == "baseline":
         return _baseline_trace(emb, plda)
     return _book_trace(emb, plda, cfg.likelihood_scale)
 
 
 def ahc(emb: EmbeddingBatch, plda: DiagPlda, cfg: AhcConfig) -> tuple[int, ...]:
-    """Dispatch on cfg.mode."""
-    if cfg.mode == "baseline":
-        return ahc_baseline(emb, plda, cfg)
-    return ahc_by_the_book(emb, plda, cfg)
+    """AHC of cfg.mode from singletons, stopped by cfg.sigma.
+
+    By the book: greedy maximum-likelihood AHC; each iteration merges the
+    pair with the largest likelihood gain, provided it exceeds cfg.sigma.
+    Baseline: weighted average-linkage (WPGMA) AHC over plug-in pairwise LLR
+    scores; the similarity row of a merged cluster is the arithmetic mean of
+    its two parents' rows, whatever their sizes, and merging stops when the
+    best similarity falls below the unsupervised-calibration threshold plus
+    the cfg.sigma offset.  In both, ties break on the lowest pair of cluster
+    ids (ids are the smallest member segment index).
+    """
+    return cut(merge_trace(emb, plda, cfg), cfg.sigma)

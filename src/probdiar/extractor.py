@@ -63,8 +63,8 @@ class SegmentRecord:
         object.__setattr__(self, "quality", np.asarray(self.quality, dtype=np.float64))
         if not (np.all(np.isfinite(self.raw)) and np.all(np.isfinite(self.quality))):
             raise DomainError("segment features must be finite")
-        if not self.duration > 0:
-            raise DomainError("duration must be positive")
+        if not 0 < self.duration < np.inf:
+            raise DomainError(f"duration must be positive and finite, got {self.duration}")
 
 
 @dataclass(frozen=True)

@@ -99,8 +99,9 @@ def load_model(path) -> tuple[ExtractorModel, DiagPlda]:
 
 # Corpus files: one segment per line, tab-separated fields in this order:
 #   recording-id  segment-id  start  duration  raw-vector  quality-vector  speaker
-# Vectors are comma-separated decimal numbers; starts are finite and >= 0, and
-# start + duration is finite.
+# Recording ids are nonempty and hold no whitespace.  Vectors are
+# comma-separated decimal numbers; starts are finite and >= 0, durations
+# positive, and start + duration is finite.
 # save_corpus writes any iterable of Recording, such as a Corpus; load_corpus
 # reads "train" Recordings.
 
@@ -128,6 +129,9 @@ def load_corpus(path) -> list[Recording]:
             raise ParseError(f"expected 7 tab-separated fields, got {len(parts)}",
                              line=lineno)
         rec_id, _seg_id, start_s, dur_s, raw_s, qual_s, spk_s = parts
+        if rec_id.split() != [rec_id]:   # RTTM fields split on whitespace
+            raise ParseError(f"recording id must be nonempty without whitespace, "
+                             f"got {rec_id!r}", line=lineno)
         try:
             start, dur = float(start_s), float(dur_s)
             raw = np.array([float(x) for x in raw_s.split(",")])

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from probdiar.cli import _config_flags, build_parser, run
+from probdiar.clustering import AhcConfig
 from probdiar.errors import DataError, ProbdiarError
+from probdiar.evalkit import write_rttm
 from probdiar.extractor import (Corpus, SyntheticConfig, estimate_full_plda,
                                 generate_corpus)
 from probdiar.io import load_corpus, load_model, save_corpus, save_model
+from probdiar.pipeline import SWEEP_PARAMS, diarize_corpus
 from probdiar.plda import DiagPlda
 from probdiar.training import TrainConfig, train
 
@@ -278,6 +281,44 @@ class TestDiarize:
             assert "[numeric] the cluster statistics overflow" in captured.err
             assert "likelihood_scale" not in captured.err
             assert captured.out == ""
+
+
+class TestAhcFlags:
+    """The AHC flags of `diarize` and `sweep` build the `AhcConfig` that the
+    library takes: --mode from `AhcConfig.MODES`, one flag per name of
+    `SWEEP_PARAMS`."""
+
+    CASES = {
+        "defaults": ([], AhcConfig()),
+        "sigma": (["--sigma=-2"], AhcConfig(sigma=-2.0)),
+        "scale": (["--scale", "0.5"], AhcConfig(likelihood_scale=0.5)),
+        "book": (["--mode", "book", "--scale", "0.5", "--sigma", "-2"],
+                 AhcConfig(likelihood_scale=0.5, sigma=-2.0)),
+        "baseline": (["--mode", "baseline", "--sigma", "-2"],
+                     AhcConfig(mode="baseline", sigma=-2.0)),
+    }
+
+    def test_cases_cover_every_flag(self):
+        flags = {a.split("=")[0] for argv, _ in self.CASES.values() for a in argv
+                 if a.startswith("--")}
+        assert flags == {"--mode", *(f"--{name}" for name in SWEEP_PARAMS)}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rttm_equals_library(self, workdir, tmp_path, case):
+        argv, cfg = self.CASES[case]
+        assert run(["diarize", "--corpus", str(workdir / "corpus.tsv"),
+                    "--model", str(workdir / "model.txt"),
+                    "--out", str(tmp_path / "cli.rttm"), *argv]) == 0
+        model, plda = load_model(workdir / "model.txt")
+        hyps = diarize_corpus(load_corpus(workdir / "corpus.tsv"), model, plda, cfg)
+        write_rttm(tmp_path / "lib.rttm", hyps.values())
+        assert (tmp_path / "cli.rttm").read_bytes() == (tmp_path / "lib.rttm").read_bytes()
+
+    @pytest.mark.parametrize("command", ["diarize", "sweep"])
+    def test_help_shows_modes_and_book_default(self, capsys, command):
+        assert run([command, "--help"]) == 0
+        assert "--mode {baseline,book}" in capsys.readouterr().out
+        assert build_parser().parse_args([command]).mode == "book"
 
 
 class TestScore:
@@ -599,11 +640,12 @@ class TestErrorsAndUsage:
 
     @pytest.mark.parametrize("field, value", [(2, "nan"), (2, "-5"), (2, "-1e-9"),
                                               (3, "0"), (4, "nan,0.2,0.3,0.4"),
-                                              (3, "inf")])
+                                              (3, "inf"), (0, "rec 0000"), (0, "")])
     def test_bad_corpus_value_is_parse_error(self, workdir, tmp_path, capsys,
                                              field, value):
-        """A NaN or negative start, a zero duration, a NaN raw value or an end
-        that overflows names its line (exit 2)."""
+        """A NaN or negative start, a zero duration, a NaN raw value, an end
+        that overflows, and a recording id that is empty or holds whitespace
+        (RTTM fields split on it) name their line (exit 2)."""
         lines = (workdir / "corpus.tsv").read_text().splitlines()
         parts = lines[2].split("\t")
         parts[field] = value
@@ -682,6 +724,26 @@ class TestErrorsAndUsage:
                  "model": workdir / "model.txt", "ref": workdir / "ref.rttm"}
         assert run(argv.format(**paths).split()) == 2
         assert "[data]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "diarize --corpus {dim3} --model {model} --out {tmp}/h.rttm",
+        "sweep --corpus {dim3} --model {model} --param sigma --values=0",
+        "sweep --corpus {corpus} --eval-corpus {dim3} --model {model} --param sigma "
+        "--values=0"], ids=["diarize", "sweep", "sweep_eval"])
+    def test_corpus_dims_differ_from_model_is_data_error(self, workdir, tmp_path, capsys,
+                                                          argv):
+        """A dim-3 corpus with a dim-4 model is inconsistent input files."""
+        dim3 = tmp_path / "dim3.tsv"
+        assert run(["simulate", "--out", str(dim3), "--dim", "3",
+                    "--recordings", "3", "--segments", "5"]) == 0
+        capsys.readouterr()
+        paths = {"tmp": tmp_path, "dim3": dim3, "corpus": workdir / "corpus.tsv",
+                 "model": workdir / "model.txt"}
+        assert run(argv.format(**paths).split()) == 2
+        captured = capsys.readouterr()
+        assert f"[data] corpus {dim3} has (raw, quality) dims (3, 2), but model " \
+            f"{workdir / 'model.txt'} takes (4, 2)" in captured.err
+        assert captured.out == "" and not (tmp_path / "h.rttm").exists()
 
     @pytest.mark.parametrize("argv", [
         "diarize --corpus {bad} --model {model} --out {tmp}/h.rttm",

@@ -39,6 +39,9 @@ class TestSegmentRecord:
             SegmentRecord(raw=[np.inf], quality=[0.0], duration=1.0)
         with pytest.raises(DomainError):
             SegmentRecord(raw=[0.0], quality=[0.0], duration=0.0)
+        # a corpus file cannot hold an infinite duration, nor a timeline its turn
+        with pytest.raises(DomainError, match="positive and finite"):
+            SegmentRecord(raw=[0.0], quality=[0.0], duration=math.inf)
 
 
 class TestExtract:
