@@ -10,7 +10,7 @@ into useful per-dimension precisions.
 
 import numpy as np
 
-from probdiar import SyntheticConfig, TrainConfig, extract, generate_corpus
+from probdiar import SyntheticConfig, TrainConfig, extract_batch, generate_corpus
 from probdiar.training import train
 
 corpus = generate_corpus(SyntheticConfig(seed=0))
@@ -33,7 +33,7 @@ for epoch, train_ce, heldout_ce in result.history[::8] + result.history[-1:]:
 # synthetic generator records each segment's true noise precision, so we can
 # compare directly.
 rec = corpus.heldout_recordings[0]
-precs = np.array([extract(sr, result.model).prec.mean() for sr in rec.records])
+precs = extract_batch(rec.records, result.model).prec.mean(axis=1)
 order = np.argsort(rec.oracle_prec)
 print("\nsegments of one held-out recording, sorted noisiest first:")
 print("   true noise precision | mean learned embedding precision")

@@ -11,9 +11,10 @@ range.  An atom is a maximal run of pieces on which no turn range starts or
 ends: every turn is active on all of an atom's pieces or on none, so the
 scoring terms only need each atom's summed duration, and their cost follows
 the number of turns, not the length of the recording.  Relabellings of one
-reference's turns, as a sigma sweep produces, share their atoms, ranges and
-reference terms: `relabel_scorer` builds them once, and a labelling's
-speaker activities set its speakers' ranges, the same booleans `der` builds.
+hypothesis's turns, as a sigma sweep produces, share their atoms, ranges and
+reference terms: `relabel_scorer` builds them once and returns a scorer of
+labellings, and `der` is that scorer applied to its own hypothesis's
+speakers.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, ParseError, ScoringError, ShapeError
-from .io import text_lines
+from .io import is_field, text_lines
 
 FRAME_STEP = 0.01  # seconds
 
@@ -41,8 +42,9 @@ class Turn:
             raise DomainError("turn start, duration and end must be finite")
         if not self.duration > 0:
             raise DomainError("turn duration must be positive")
-        if not self.speaker:
-            raise DomainError("speaker label must be nonempty")
+        if not is_field(self.speaker):
+            raise DomainError(f"speaker label must be nonempty without whitespace, "
+                              f"got {self.speaker!r}")
 
     @property
     def end(self) -> float:
@@ -55,6 +57,9 @@ class Timeline:
     turns: tuple
 
     def __post_init__(self):
+        if not is_field(self.rec_id):
+            raise DomainError(f"recording id must be nonempty without whitespace, "
+                              f"got {self.rec_id!r}")
         object.__setattr__(self, "turns", tuple(self.turns))
 
     def speakers(self):
@@ -174,17 +179,10 @@ def _activity(ranges, speakers, n_atoms: int) -> np.ndarray:
     return active.T
 
 
-def _reference_terms(dur, ref_on):
-    """The terms of `_report` that depend on the reference alone: its
-    activity, the activity weighted by atom duration, the active speakers
-    per atom and the scored speech time."""
-    n_ref = ref_on.sum(axis=1)
-    return ref_on, ref_on * dur[:, None], n_ref, float(np.sum(dur * n_ref))
-
-
 def _report(rec_id, dur, ref, hyp_on) -> DerReport:
     """Score a boolean (atoms x speakers) hypothesis activity against the
-    `_reference_terms` `ref` of a reference activity, with atom durations."""
+    terms `ref` of a reference activity that `relabel_scorer` builds, with
+    atom durations."""
     ref_on, ref_dur, n_ref, total_ref = ref
     if total_ref == 0:
         raise ScoringError("reference has no scored speech (all excised by collar)")
@@ -210,27 +208,28 @@ def der(ref: Timeline, hyp: Timeline, collar: float = 0.0, exact: bool = False) 
     """
     if ref.rec_id != hyp.rec_id:
         raise ScoringError(f"recording ids differ: {ref.rec_id!r} vs {hyp.rec_id!r}")
+    return relabel_scorer(ref, hyp, collar, exact)([t.speaker for t in hyp.turns])
+
+
+def relabel_scorer(ref: Timeline, hyp: Timeline | None = None, collar: float = 0.0,
+                   exact: bool = False):
+    """`score(speakers)`, the report of `der(ref, h, collar, exact)` for the
+    hypothesis h with hyp's turns (ref's when hyp is None), where turn k is
+    spoken by speakers[k].  A labelling of another length than those turns
+    is a `ShapeError`."""
+    if hyp is None:
+        hyp = ref
     dur, mid = _scored_pieces(ref, hyp, collar, exact)
     dur, (ref_ranges, hyp_ranges) = _atoms(dur, _turn_ranges(ref.turns, mid),
                                            _turn_ranges(hyp.turns, mid))
     ref_on = _activity(ref_ranges, [t.speaker for t in ref.turns], dur.size)
-    hyp_on = _activity(hyp_ranges, [t.speaker for t in hyp.turns], dur.size)
-    return _report(ref.rec_id, dur, _reference_terms(dur, ref_on), hyp_on)
-
-
-def relabel_scorer(ref: Timeline):
-    """`score(speakers)`, the report of `der(ref, hyp)` for the hypothesis
-    with ref's turns, where turn k is spoken by speakers[k].  A labelling
-    of another length than ref's turns is a `ShapeError`."""
-    dur, mid = _scored_pieces(ref, ref, collar=0.0, exact=False)
-    dur, (ranges,) = _atoms(dur, _turn_ranges(ref.turns, mid))
-    terms = _reference_terms(dur, _activity(ranges, [t.speaker for t in ref.turns],
-                                            dur.size))
+    n_ref = ref_on.sum(axis=1)   # active speakers per atom
+    terms = ref_on, ref_on * dur[:, None], n_ref, float(np.sum(dur * n_ref))
 
     def score(speakers):
-        if len(speakers) != len(ranges):
-            raise ShapeError(f"{len(speakers)} speakers for {len(ranges)} turns")
-        return _report(ref.rec_id, dur, terms, _activity(ranges, speakers, dur.size))
+        if len(speakers) != len(hyp_ranges):
+            raise ShapeError(f"{len(speakers)} speakers for {len(hyp_ranges)} turns")
+        return _report(ref.rec_id, dur, terms, _activity(hyp_ranges, speakers, dur.size))
     return score
 
 

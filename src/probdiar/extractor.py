@@ -222,6 +222,9 @@ class Recording:
                 self.oracle_prec is not None and len(self.oracle_prec) != n):
             raise ShapeError(f"recording {self.rec_id} needs one or more segments, with "
                              f"one label, start and oracle_prec entry each")
+        if len({(sr.raw.shape, sr.quality.shape) for sr in self.records}) != 1:
+            raise ShapeError(f"recording {self.rec_id}: segments differ in raw or "
+                             f"quality dim")
         if self.split not in ("train", "heldout"):
             raise DomainError(f"split must be 'train' or 'heldout', got {self.split!r}")
         if not all(math.isfinite(t) and t >= 0 for t in self.starts):

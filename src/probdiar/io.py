@@ -27,6 +27,12 @@ def text_lines(path):
             raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def is_field(text) -> bool:
+    """Whether `text` reads back as itself from a whitespace-split line, as
+    an RTTM field: a nonempty string without whitespace."""
+    return isinstance(text, str) and text.split() == [text]
+
+
 def _fmt_vec(v):
     return " ".join(f"{x:.17g}" for x in np.asarray(v).reshape(-1))
 
@@ -129,7 +135,7 @@ def load_corpus(path) -> list[Recording]:
             raise ParseError(f"expected 7 tab-separated fields, got {len(parts)}",
                              line=lineno)
         rec_id, _seg_id, start_s, dur_s, raw_s, qual_s, spk_s = parts
-        if rec_id.split() != [rec_id]:   # RTTM fields split on whitespace
+        if not is_field(rec_id):
             raise ParseError(f"recording id must be nonempty without whitespace, "
                              f"got {rec_id!r}", line=lineno)
         try:

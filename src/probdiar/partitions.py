@@ -326,9 +326,5 @@ def fit_crp(n_total: int, expected_speakers: float) -> CrpParams:
             f"no (alpha, discount) on the search grid matches "
             f"E[clusters]={expected_speakers} for n={n_total}")
 
-    best, best_var = None, -1.0
-    for alpha, d in candidates:
-        v = cluster_count_variance(n_total, alpha, d)
-        if v > best_var:
-            best, best_var = (alpha, d), v
-    return CrpParams(concentration=max(best[0], 1e-12), discount=best[1])
+    alpha, d = max(candidates, key=lambda c: cluster_count_variance(n_total, *c))
+    return CrpParams(concentration=max(alpha, 1e-12), discount=d)

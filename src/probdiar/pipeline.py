@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .clustering import AhcConfig, ahc, cuts, merge_trace
+from .errors import DomainError
 from .evalkit import DerReport, Timeline, Turn, aggregate_der, relabel_scorer
 from .extractor import ExtractorModel, extract_batch
 from .plda import DiagPlda
@@ -83,6 +84,8 @@ def sweep(param: str, values, dev_recordings, eval_recordings,
     if param not in SWEEP_PARAMS:
         raise ValueError(f"sweep parameter {param!r} not in {list(SWEEP_PARAMS)}")
     values = [float(v) for v in values]
+    if not values:
+        raise DomainError("sweep needs one or more values")
     cfgs = [replace(base_cfg, **{SWEEP_PARAMS[param]: v}) for v in values]
     dev = [r.der for r in _sweep_ders(dev_recordings, cfgs, model, plda)]
     evl = [r.der for r in _sweep_ders(eval_recordings, cfgs, model, plda)] \

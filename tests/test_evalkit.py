@@ -327,6 +327,27 @@ class TestRttm:
             got = sorted(back[orig.rec_id].turns, key=lambda t: t.start)
             assert got == sorted(orig.turns, key=lambda t: t.start)
 
+    @pytest.mark.parametrize("rec_id, speakers", [
+        pytest.param("r1", ("spk a", "spk b"), id="speaker-space"),
+        pytest.param("r1", ("a\tb",), id="speaker-tab"),
+        pytest.param("r1", ("a\u00a0b",), id="speaker-nbsp"),
+        pytest.param("rec 0", ("a",), id="rec-id-space"),
+        pytest.param("", ("a",), id="rec-id-empty"),
+        pytest.param(" r1", ("a",), id="rec-id-leading-space")])
+    def test_fields_rttm_would_split_rejected(self, rec_id, speakers):
+        """RTTM splits its lines on whitespace, so a speaker or recording id
+        holding any would be written as other fields and read back wrong:
+        the turn or timeline that holds one is rejected."""
+        with pytest.raises(DomainError, match="nonempty without whitespace"):
+            tl(rec_id, *((k, 1.0, spk) for k, spk in enumerate(speakers)))
+
+    def test_roundtrip_of_edge_fields(self, tmp_path):
+        path = tmp_path / "x.rttm"
+        tls = [tl("r\u00e9-1", (0.0, 1.0, "spk-\u00e9"), (1.0, 1.0, "<NA>x")),
+               tl("1", (0.0, 1.0, "SPEAKER"), (0.5, 1.0, "a,b"))]
+        write_rttm(path, tls)
+        assert read_rttm(path) == {t.rec_id: t for t in tls}
+
     def test_single_line(self, tmp_path):
         path = tmp_path / "one.rttm"
         path.write_text("SPEAKER rec 1 0.000 1.500 <NA> <NA> alice <NA> <NA>\n")

@@ -278,12 +278,17 @@ class TestRecording:
         assert rec.labels == (1, 2) and rec.starts == (0.0, 1.0)
         assert rec.oracle_prec is None
 
-    @pytest.mark.parametrize("labels, starts, oracle_prec", [
-        ([1], [0.0, 1.0], None), ([1, 2], [0.0], None),
-        ([1, 2], [0.0, 1.0], np.ones(3))])
-    def test_ragged_lengths_rejected(self, labels, starts, oracle_prec):
+    @pytest.mark.parametrize("records, labels, starts, oracle_prec", [
+        pytest.param(_segments(2), [1], [0.0, 1.0], None, id="one-label"),
+        pytest.param(_segments(2), [1, 2], [0.0], None, id="one-start"),
+        pytest.param(_segments(2), [1, 2], [0.0, 1.0], np.ones(3), id="three-oracle-precs"),
+        pytest.param(_segments(3) + [SegmentRecord(np.zeros(4), np.zeros(1), 1.0)],
+                     [1, 2, 1, 2], [0.0, 1.0, 2.0, 3.0], None, id="raw-dims-2-2-2-4"),
+        pytest.param(_segments(1) + [SegmentRecord(np.zeros(2), np.zeros(2), 1.0)],
+                     [1, 2], [0.0, 1.0], None, id="quality-dims-1-2")])
+    def test_ragged_lengths_rejected(self, records, labels, starts, oracle_prec):
         with pytest.raises(ShapeError):
-            Recording("r", _segments(2), labels, starts, "train", oracle_prec)
+            Recording("r", records, labels, starts, "train", oracle_prec)
 
     def test_empty_recording_rejected(self):
         with pytest.raises(ShapeError):

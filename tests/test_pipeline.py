@@ -77,3 +77,13 @@ def test_unknown_parameter_rejected(split):
     dev, evl, model, plda = split
     with pytest.raises(ValueError):
         sweep("collar", [0.0], dev, evl, model, plda, AhcConfig())
+
+
+def test_no_values_rejected_before_any_work(split, monkeypatch):
+    dev, evl, model, plda = split
+
+    def no_extraction(*args):
+        raise AssertionError("sweep extracted a recording")
+    monkeypatch.setattr("probdiar.pipeline.extract_batch", no_extraction)
+    with pytest.raises(DomainError, match="one or more values"):
+        sweep("sigma", [], dev, evl, model, plda, AhcConfig())
