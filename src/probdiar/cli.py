@@ -310,8 +310,10 @@ def build_parser():
     p = add("selftest", cmd_selftest, help="gradient check and scoring equivalence")
     p.add_argument("--seed", type=int, default=SyntheticConfig.seed)
     # required options may come from --config, so run checks them once the
-    # file is read
+    # file is read; the usage is frozen first, so that it still shows them
+    # as required
     for p in sub.choices.values():
+        p.usage = p.format_usage().removeprefix("usage: ").rstrip().replace("%", "%%")
         required = [a for a in p._actions if a.required]
         for a in required:
             a.required = False

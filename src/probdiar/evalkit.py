@@ -234,12 +234,15 @@ def relabel_scorer(ref: Timeline, hyp: Timeline | None = None, collar: float = 0
 
 
 def aggregate_der(reports) -> DerReport:
-    """Time-weighted aggregate over per-recording reports."""
+    """Time-weighted aggregate over per-recording reports, each recording
+    reported once."""
     reports = list(reports)
     if not reports:
         raise ScoringError("no reports to aggregate")
     per = {}
     for r in reports:
+        if repeated := per.keys() & r.per_recording.keys():
+            raise ScoringError(f"recording {min(repeated)!r} is reported twice")
         per.update(r.per_recording)
     return DerReport(
         missed=sum(r.missed for r in reports),

@@ -4,10 +4,11 @@ the likelihood scale."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 from .clustering import AhcConfig, ahc, cuts, merge_trace
-from .errors import DomainError
+from .errors import DataError, DomainError
 from .evalkit import DerReport, Timeline, Turn, aggregate_der, relabel_scorer
 from .extractor import ExtractorModel, extract_batch
 from .plda import DiagPlda
@@ -38,7 +39,12 @@ def diarize_recording(rec, model: ExtractorModel, plda: DiagPlda,
 
 def diarize_corpus(recordings, model: ExtractorModel, plda: DiagPlda,
                    cfg: AhcConfig) -> dict[str, Timeline]:
-    """Diarize every recording; output is keyed and ordered by recording id."""
+    """Diarize every recording; output is keyed and ordered by recording id,
+    which must not repeat."""
+    recordings = list(recordings)
+    counts = Counter(r.rec_id for r in recordings)
+    if repeated := [rec_id for rec_id, c in counts.items() if c > 1]:
+        raise DataError(f"recording id {repeated[0]!r} is given twice")
     results = [diarize_recording(r, model, plda, cfg) for r in recordings]
     return {tl.rec_id: tl for tl in sorted(results, key=lambda t: t.rec_id)}
 
@@ -82,7 +88,7 @@ def sweep(param: str, values, dev_recordings, eval_recordings,
     `evaluate` per value, but each recording is extracted once, clustered
     once per likelihood scale and scored once per distinct labelling."""
     if param not in SWEEP_PARAMS:
-        raise ValueError(f"sweep parameter {param!r} not in {list(SWEEP_PARAMS)}")
+        raise DomainError(f"sweep parameter {param!r} not in {list(SWEEP_PARAMS)}")
     values = [float(v) for v in values]
     if not values:
         raise DomainError("sweep needs one or more values")

@@ -116,17 +116,17 @@ class _Workspace:
     [2, _TUPLE_BLOCK]: (rows, 2^n - 1) subset log-likelihoods, five
     (rows, 2^n - 1, D) arrays (the pooled stats and three scratch arrays)
     and the (rows, B_n) posterior buffers of `_partition_logits`,
-    F-ordered as it needs.  One workspace serves every batch size: a block
-    uses its leading rows, and everything it reads there it has written
-    first.  `_forward_backward` needs two rows for a batch of two or more."""
+    F-ordered as it needs.  A block shorter than `rows` uses the leading
+    rows, and everything it reads there it has written first.
+    `_forward_backward` needs two rows for a batch of two or more."""
 
-    def __init__(self, tables: PartitionTables, dim: int, rows: int = _TUPLE_BLOCK):
+    def __init__(self, tables: PartitionTables, dim: int, rows: int):
         rows = min(max(rows, 2), _TUPLE_BLOCK)
         n_sub, n_part = tables.n_subsets, tables.n_partitions
         self.rows = rows
         # the float buffers share one allocation: once it is freed, glibc
-        # serves the next workspace of that size from pages it keeps mapped,
-        # where eight separate arrays are unmapped and fault in again
+        # serves the next call's workspace of that size from pages it keeps
+        # mapped, where eight separate arrays are unmapped and fault in again
         shapes = [(rows, n_sub)] + [(rows, n_sub, dim)] * 5 + [(n_part, rows)] * 2
         flat = np.empty(sum(math.prod(sh) for sh in shapes))
         views, at = [], 0
@@ -139,17 +139,16 @@ class _Workspace:
 
 
 def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda,
-                      tables: PartitionTables, want_grad: bool,
-                      ws: _Workspace | None = None):
+                      tables: PartitionTables, want_grad: bool):
     """Mean cross-entropy over the batch and, optionally, its gradients.
 
     Shapes: raw (B, n, R), quality (B, n, Q), truth (B,).
 
     The per-tuple stages (subset pooling and likelihoods, the partition
     posterior, the softmax backward and the pooled-stats backward down to
-    each segment's d_ex and d_e) run on blocks of `ws.rows` tuples in the
-    buffers of the workspace `ws` (a fresh one when None), so a batch of any
-    size allocates no (B, B_n) or (B, 2^n - 1, D) array.  The in-place
+    each segment's d_ex and d_e) run on blocks of up to `_TUPLE_BLOCK`
+    tuples in the buffers of a `_Workspace` built for the call, so a batch
+    of any size allocates no (B, B_n) or (B, 2^n - 1, D) array.  The in-place
     operations keep the order of the unblocked expressions, each tuple is
     reduced on its own, and the posterior buffers are F-ordered like the
     unblocked logits (see `_partition_logits`), so the loss and
@@ -160,8 +159,7 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
     """
     w = plda.w
     n_batch = raw.shape[0]
-    if ws is None:
-        ws = _Workspace(tables, plda.dim, n_batch)
+    ws = _Workspace(tables, plda.dim, n_batch)
 
     z1 = quality @ model.W1.T + model.b1
     h = softplus(z1)
@@ -282,8 +280,7 @@ def finite_difference_check(batch, model: ExtractorModel, plda: DiagPlda,
     error, and an error above 1e-4 is a TrainingError.
     """
     raw, quality, truth = _batch_arrays(batch, tables)
-    ws = _Workspace(tables, plda.dim, len(batch))
-    _, grads = _forward_backward(raw, quality, truth, model, plda, tables, True, ws)
+    _, grads = _forward_backward(raw, quality, truth, model, plda, tables, True)
     params = _get_params(model, plda)
     step, floor = 1e-3, 1e-6
     if gate:
@@ -301,8 +298,7 @@ def finite_difference_check(batch, model: ExtractorModel, plda: DiagPlda,
                 p2 = dict(params)
                 p2[name] = flat.reshape(arr.shape)
                 m2, d2 = _set_params(p2)
-                loss, _ = _forward_backward(raw, quality, truth, m2, d2, tables,
-                                            False, ws)
+                loss, _ = _forward_backward(raw, quality, truth, m2, d2, tables, False)
                 vals[k] = loss
             flat[i] = orig
             fd = (8.0 * (vals[1] - vals[-1]) - (vals[2] - vals[-2])) / (12.0 * step)
@@ -365,8 +361,6 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
     ss_sampler, ss_heldout = root.spawn(2)
     stream = sample_octets(train_recs, cfg.n, np.random.default_rng(ss_sampler))
 
-    # one workspace for every step and held-out forward
-    ws = _Workspace(tables, plda.dim)
     heldout = None
     if heldout_recs:
         hrng = np.random.default_rng(ss_heldout)
@@ -388,7 +382,7 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
         if heldout is None:
             return float("nan")
         with np.errstate(over="ignore", invalid="ignore"):
-            loss = _forward_backward(*heldout, m, d, tables, False, ws)[0]
+            loss = _forward_backward(*heldout, m, d, tables, False)[0]
         if not np.isfinite(loss):
             raise TrainingError(f"the held-out cross-entropy overflows at epoch {epoch}")
         return loss
@@ -402,7 +396,7 @@ def train(cfg: TrainConfig, corpus: Corpus, init=None,
             batch = [next(stream) for _ in range(cfg.batch_size)]
             raw, quality, truth = _batch_arrays(batch, tables)
             loss, grads = _forward_backward(raw, quality, truth, model_c, plda_c,
-                                            tables, True, ws)
+                                            tables, True)
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}", checkpoint=good)
             epoch_losses.append(loss)

@@ -321,6 +321,19 @@ class TestAhcFlags:
         assert build_parser().parse_args([command]).mode == "book"
 
 
+def test_help_shows_required_options_as_required(capsys):
+    """`run` checks the required options only once a config file is read, but
+    every subcommand's usage still shows them without brackets."""
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    for command in commands:
+        required = [a.option_strings[0] for a in parser.parse_args([command]).required]
+        assert run([command, "--help"]) == 0
+        usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+        for flag in required:
+            assert f" {flag} " in usage and f"[{flag} " not in usage, (command, flag)
+
+
 class TestScore:
     def test_perfect_score(self, workdir, capsys):
         assert run(["score", "--ref", str(workdir / "ref.rttm"),

@@ -310,6 +310,16 @@ class TestAggregate:
         with pytest.raises(ScoringError):
             aggregate_der([])
 
+    def test_repeated_recording_rejected(self):
+        """A recording reported twice would count twice in the overall DER
+        but once in the table."""
+        a = der(tl("a", (0, 10, "x")), tl("a", (0, 10, "x")), exact=True)
+        b = der(tl("b", (0, 5, "x")), tl("b", (0, 5, "y")), exact=True)
+        with pytest.raises(ScoringError, match="'a' is reported twice"):
+            aggregate_der([a, b, a])
+        with pytest.raises(ScoringError, match="'b' is reported twice"):
+            aggregate_der([aggregate_der([a, b]), b])
+
     def test_report_table(self):
         report = der(tl("r", (0, 2, "a")), tl("r", (0, 2, "a")), exact=True)
         text = report_table(aggregate_der([report]))

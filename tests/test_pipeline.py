@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from probdiar.clustering import AhcConfig, cut, merge_trace
-from probdiar.errors import DomainError
+from probdiar.errors import DataError, DomainError, ScoringError
 from probdiar.evalkit import aggregate_der, der
-from probdiar.extractor import extract_batch, init_extractor
+from probdiar.extractor import SyntheticConfig, extract_batch, generate_corpus, init_extractor
 from probdiar.pipeline import diarize_corpus, evaluate, reference_timeline, sweep
 
 SIGMA_GRID = [-20, -5, -1, 0, 1, 5, 20]
@@ -74,8 +74,9 @@ def test_empty_eval_list_gives_nan(split):
 
 
 def test_unknown_parameter_rejected(split):
+    """A `ProbdiarError`, and still a `ValueError` as `DomainError` is."""
     dev, evl, model, plda = split
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="'collar' not in"):
         sweep("collar", [0.0], dev, evl, model, plda, AhcConfig())
 
 
@@ -87,3 +88,32 @@ def test_no_values_rejected_before_any_work(split, monkeypatch):
     monkeypatch.setattr("probdiar.pipeline.extract_batch", no_extraction)
     with pytest.raises(DomainError, match="one or more values"):
         sweep("sigma", [], dev, evl, model, plda, AhcConfig())
+
+
+@pytest.fixture(scope="module")
+def same_names():
+    """Two corpora that both name their recordings rec0000 and rec0001,
+    concatenated, with a plug-in model."""
+    a, b = (generate_corpus(SyntheticConfig(seed=seed, n_recordings=2,
+                                            segments_per_recording=10))
+            for seed in (1, 2))
+    model, plda = init_extractor(a.full_plda, seed=0, margin=100.0)
+    return a.recordings + b.recordings, model, plda
+
+
+def test_repeated_recording_id_rejected_before_any_work(same_names, monkeypatch):
+    recs, model, plda = same_names
+
+    def no_extraction(*args):
+        raise AssertionError("diarize_corpus extracted a recording")
+    monkeypatch.setattr("probdiar.pipeline.extract_batch", no_extraction)
+    with pytest.raises(DataError, match="'rec0000' is given twice"):
+        diarize_corpus(recs, model, plda, AhcConfig())
+
+
+def test_evaluate_rejects_repeated_recording_id(same_names):
+    """Each recording's report is kept, so none is dropped from the table
+    while the overall DER counts it."""
+    recs, model, plda = same_names
+    with pytest.raises(ScoringError, match="'rec0000' is reported twice"):
+        evaluate(recs, model, plda, AhcConfig())

@@ -3,6 +3,7 @@ SGD loop.  Oracles: the brute-force partition scorer, central finite
 differences, a reference kernel built on einsum and logsumexp, and the
 unblocked kernel of `tests/kernel_loop.py`."""
 
+import inspect
 import itertools
 import tracemalloc
 from dataclasses import replace
@@ -20,8 +21,8 @@ from probdiar.plda import (DiagPlda, partition_log_posterior, segment_weight,
                            subset_logliks)
 from probdiar.training import (_TUPLE_BLOCK, OctetTrial, TrainConfig, _batch_arrays,
                                _forward_backward, _get_params, _set_params,
-                               _Workspace, cross_entropy, finite_difference_check,
-                               fit_corpus_crp, gradients, sample_octets, train)
+                               cross_entropy, finite_difference_check, fit_corpus_crp,
+                               gradients, sample_octets, train)
 
 from . import kernel_loop
 from .conftest import brute_force_log_posterior
@@ -325,8 +326,15 @@ class TestKernel:
                                         tables, False)
         assert not np.isfinite(loss)
 
-    # `_forward_backward` scores blocks of tuples in a reused workspace and
-    # must give the bits of the unblocked kernel in `tests/kernel_loop.py`
+    # `_forward_backward` scores blocks of tuples in a workspace and must
+    # give the bits of the unblocked kernel in `tests/kernel_loop.py`
+
+    def test_signature_of_unblocked_kernel(self):
+        """The blocked kernel takes the arguments of its oracle, and no
+        buffers: it builds its own workspace."""
+        params = [inspect.signature(f).parameters
+                  for f in (_forward_backward, kernel_loop._forward_backward)]
+        assert list(params[0]) == list(params[1])
 
     @pytest.fixture(scope="class", params=[10.0, 100.0], ids=["margin10", "margin100"])
     def setup(self, request, small_corpus):
@@ -343,13 +351,13 @@ class TestKernel:
             kernel_loop._forward_backward(*arrays, model, plda, tables, want_grad))
 
     @pytest.mark.parametrize("rows", [2, 3, 10])
-    def test_small_blocks(self, setup, rows):
+    def test_small_blocks(self, setup, rows, monkeypatch):
         arrays, model, plda, tables = setup
-        ws = _Workspace(tables, plda.dim, rows)
+        monkeypatch.setattr(pd.training, "_TUPLE_BLOCK", rows)
         for size in (2, 3, 7, 31):
             part = tuple(x[:size] for x in arrays)
             assert_same_bits(
-                _forward_backward(*part, model, plda, tables, True, ws),
+                _forward_backward(*part, model, plda, tables, True),
                 kernel_loop._forward_backward(*part, model, plda, tables, True))
 
     def test_one_tuple_last_block(self, small_corpus):
@@ -373,21 +381,6 @@ class TestKernel:
             assert_same_bits(
                 _forward_backward(*batch, model, plda, tables, want_grad),
                 kernel_loop._forward_backward(*batch, model, plda, tables, want_grad))
-
-    def test_reused_workspace(self, setup):
-        """Buffers left over from a larger batch do not leak into a smaller
-        one: one workspace over 200, 37 and 100 tuples gives the bits of a
-        fresh workspace for each."""
-        arrays, model, plda, tables = setup
-        arrays = tuple(np.resize(x, (200,) + x.shape[1:]) for x in arrays)
-        ws = _Workspace(tables, plda.dim)
-        for size in (200, 37, 100):
-            part = tuple(x[:size] for x in arrays)
-            for want_grad in (True, False):
-                assert_same_bits(
-                    _forward_backward(*part, model, plda, tables, want_grad, ws),
-                    _forward_backward(*part, model, plda, tables, want_grad,
-                                      _Workspace(tables, plda.dim)))
 
     def test_forward_memory_is_bounded(self, setup):
         """A forward pass of 1000 tuples allocates one workspace (~10 MB) and
@@ -474,8 +467,8 @@ class TestTrain:
         exact = pd.training._forward_backward
         scored = []
 
-        def nan_at_k(raw, quality, truth, model, plda, tables, want_grad, ws=None):
-            loss, grads = exact(raw, quality, truth, model, plda, tables, want_grad, ws)
+        def nan_at_k(raw, quality, truth, model, plda, tables, want_grad):
+            loss, grads = exact(raw, quality, truth, model, plda, tables, want_grad)
             if want_grad:
                 scored.append((model, plda))
                 if len(scored) == k:
@@ -498,10 +491,10 @@ class TestTrain:
         exact_set, exact_fb = pd.training._set_params, pd.training._forward_backward
         scored, built = [], []
 
-        def record(raw, quality, truth, model, plda, tables, want_grad, ws=None):
+        def record(raw, quality, truth, model, plda, tables, want_grad):
             if want_grad:
                 scored.append((model, plda))
-            return exact_fb(raw, quality, truth, model, plda, tables, want_grad, ws)
+            return exact_fb(raw, quality, truth, model, plda, tables, want_grad)
 
         def fail_at_k(params):
             built.append(params)
