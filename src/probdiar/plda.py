@@ -280,11 +280,13 @@ def _partition_logits(g: np.ndarray, tables: PartitionTables, out=None):
     `out`, optional, is (logits, q, top): float, float and bool arrays of
     the logits' shape, which then holds the logits in `logits` and uses `q`
     and `top` as scratch, allocating nothing of that size.  For a batch the
-    float buffers must be F-ordered, e.g. `np.empty((B_n, B)).T`, or a block
-    of leading rows of one: that is the layout of the logits
-    `(part_subset @ g.T).T + log_prior` gives, and the row sums of the
-    log-sum-exp run down the rows in a different order (and round
-    differently) in a C-ordered array.
+    float buffers must be F-ordered, e.g. `np.empty((B_n, B)).T`, its
+    leading rows, or any other F-ordered view: that is the layout of the
+    logits `(part_subset @ g.T).T + log_prior` gives, and the row sums of
+    the log-sum-exp run down the rows in a different order (and round
+    differently) in a C-ordered array.  In contiguous buffers, such as the
+    per-block views of `training._Workspace`, `_row_max` finds the row
+    maxima in a few whole-array passes.
     """
     logits, q, top = out if out is not None else (None,) * 3
     logits = np.add((tables.part_subset @ g.T).T, tables.log_prior, out=logits)
@@ -306,7 +308,7 @@ def _partition_logits(g: np.ndarray, tables: PartitionTables, out=None):
     # is one per row and every maximum is finite the count per row is 1
     # without counting.  In-place ufuncs keep the bits and spare fresh
     # (B, B_n) pages.
-    mx = logits.max(axis=-1, keepdims=True)
+    mx = _row_max(logits)
     q = np.subtract(logits, mx, out=q)
     top = np.equal(q, 0.0, out=top)
     np.exp(np.maximum(q, EXP_FLOOR, out=q), out=q)
@@ -316,6 +318,25 @@ def _partition_logits(g: np.ndarray, tables: PartitionTables, out=None):
     else:
         n_top = np.maximum(top.sum(axis=-1, keepdims=True), 1)
     return logits, np.log1p(q.sum(axis=-1, keepdims=True) / n_top) + np.log(n_top) + mx
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True).  ndarray.max reduces a 2-D array whose
+    last axis is not innermost in memory, such as F-ordered logits, in one
+    call per column; halving the columns with np.maximum takes ~2 log2(B_n)
+    calls.  A maximum is exact and np.maximum propagates NaN as max does,
+    so only the sign of a zero maximum can differ.  1-D and C-ordered
+    input, whose rows max reduces in one call each, keeps ndarray.max."""
+    if x.ndim != 2 or x.flags.c_contiguous or x.shape[1] < 2:
+        return x.max(axis=-1, keepdims=True)
+    r = x.T
+    while len(r) > 1:
+        h = len(r) // 2
+        top = np.maximum(r[:h], r[h:2 * h])
+        if len(r) % 2:
+            np.maximum(top[0], r[-1], out=top[0])
+        r = top
+    return r.T
 
 
 def clustering_log_posterior(embeddings, plda: DiagPlda,

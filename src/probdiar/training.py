@@ -105,20 +105,22 @@ def _batch_arrays(batch, tables: PartitionTables):
 
 
 # tuples scored at once by `_forward_backward`.  A workspace of this many
-# rows takes ~7.4 MB for n=8, D=8.  On a B=100 step plus a B=200 held-out
-# forward (one thread), 32-64 rows time within noise of each other and 48
-# had the lowest median
-_TUPLE_BLOCK = 48
+# rows takes ~2.5 MB for n=8, D=8; one of 48 rows took ~7.4 MB and raised
+# `train`'s peak RSS by ~5.6 MB.  Below 16 rows the per-partition inner
+# loops of the row sums dominate: against 48 rows, a `train` op (one
+# thread, 40 alternating rounds in one process) took 1.03-1.04x as long at
+# 16 rows, 1.08-1.15x at 12 and 1.20-1.21x at 8
+_TUPLE_BLOCK = 16
 
 
 class _Workspace:
     """Buffers of `_forward_backward` for blocks of `rows` tuples, clamped to
-    [2, _TUPLE_BLOCK]: (rows, 2^n - 1) subset log-likelihoods, five
-    (rows, 2^n - 1, D) arrays (the pooled stats and three scratch arrays)
-    and the (rows, B_n) posterior buffers of `_partition_logits`,
-    F-ordered as it needs.  A block shorter than `rows` uses the leading
-    rows, and everything it reads there it has written first.
-    `_forward_backward` needs two rows for a batch of two or more."""
+    [2, _TUPLE_BLOCK]: (rows, 2^n - 1) subset log-likelihoods and five
+    (rows, 2^n - 1, D) arrays (the pooled stats and three scratch arrays),
+    whose leading rows a shorter block uses, and the flat posterior buffers
+    of `_partition_logits`, which `posterior` hands to a block of any
+    length as contiguous views.  Everything a block reads it has written
+    first.  `_forward_backward` needs two rows for a batch of two or more."""
 
     def __init__(self, tables: PartitionTables, dim: int, rows: int):
         rows = min(max(rows, 2), _TUPLE_BLOCK)
@@ -127,15 +129,20 @@ class _Workspace:
         # the float buffers share one allocation: once it is freed, glibc
         # serves the next call's workspace of that size from pages it keeps
         # mapped, where eight separate arrays are unmapped and fault in again
-        shapes = [(rows, n_sub)] + [(rows, n_sub, dim)] * 5 + [(n_part, rows)] * 2
+        shapes = [(rows, n_sub)] + [(rows, n_sub, dim)] * 5 + [(n_part * rows,)] * 2
         flat = np.empty(sum(math.prod(sh) for sh in shapes))
         views, at = [], 0
         for sh in shapes:
             views.append(flat[at:at + math.prod(sh)].reshape(sh))
             at += math.prod(sh)
         self.g, *self.stats, logits, q = views
-        self.logits, self.q = logits.T, q.T
-        self.top = np.empty((n_part, rows), dtype=bool).T
+        self._posterior = logits, q, np.empty(n_part * rows, dtype=bool)
+
+    def posterior(self, m: int):
+        """The (logits, q, top) buffers of a block of m tuples: the F-ordered
+        (m, B_n) views of the first m * B_n entries of each flat buffer."""
+        return tuple(x[:x.size // self.rows * m].reshape(-1, m).T
+                     for x in self._posterior)
 
 
 def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda,
@@ -185,8 +192,7 @@ def _forward_backward(raw, quality, truth, model: ExtractorModel, plda: DiagPlda
         a_bar, b_bar, t1, t2, t3 = (x[:m] for x in ws.stats)
         g, a_bar, b_bar = subset_logliks(e[lo:hi], xh[lo:hi], tables,
                                          out=(ws.g[:m], a_bar, b_bar, (t1, t2)))
-        logits, lse = _partition_logits(g, tables,
-                                        out=(ws.logits[:m], ws.q[:m], ws.top[:m]))
+        logits, lse = _partition_logits(g, tables, out=ws.posterior(m))
         if not want_grad:
             # -(logit - lse) == lse - logit in IEEE arithmetic
             nll[lo:hi] = lse[:, 0] - logits[i, t]

@@ -10,7 +10,7 @@ import pytest
 
 from probdiar.errors import DecompositionError, DomainError, ShapeError
 from probdiar.plda import (DiagPlda, EmbeddingBatch, FullPlda, ProbEmbedding,
-                           _partition_logits, _pooled_loglik, _sum_last,
+                           _partition_logits, _pooled_loglik, _row_max, _sum_last,
                            clustering_log_posterior, joint_diagonalize, pairwise_llr,
                            partition_log_posterior, segment_stats, segment_weight,
                            subset_logliks)
@@ -280,20 +280,29 @@ class TestSameBits:
 
     @staticmethod
     def posteriors(g, tables):
-        """partition_log_posterior of g, fresh and from the logits of
-        `_partition_logits` in the leading rows of F-ordered buffers of a
-        larger block, with the frozen one's."""
-        rows = max(g.shape[0] + 2, 4) if g.ndim == 2 else None
+        """(got, want) pairs of a partition_log_posterior and the frozen one:
+        of g, fresh and from the logits of `_partition_logits` in the leading
+        rows of F-ordered buffers of a larger block; and of g's first 1, 2, 3
+        and all rows, in contiguous F-ordered views of flat buffers, as
+        `training._Workspace.posterior` hands them to a block."""
         with np.errstate(invalid="ignore"):
             want = posterior_loop.partition_log_posterior(g, tables)
-            got = [partition_log_posterior(g, tables)]
-            if rows:
+            pairs = [(partition_log_posterior(g, tables), want)]
+            if g.ndim == 2:
                 m, b = g.shape[0], tables.n_partitions
+                rows = max(m + 2, 4)
                 bufs = (np.empty((b, rows)).T, np.empty((b, rows)).T,
                         np.empty((b, rows), dtype=bool).T)
                 logits, lse = _partition_logits(g, tables, out=tuple(x[:m] for x in bufs))
-                got.append(logits - lse)
-        return got, want
+                pairs.append((logits - lse, want))
+                flat = (np.empty(b * m), np.empty(b * m), np.empty(b * m, dtype=bool))
+                for k in sorted({min(j, m) for j in (1, 2, 3, m)}):
+                    views = tuple(x[:b * k].reshape(b, k).T for x in flat)
+                    assert all(v.flags.f_contiguous for v in views)
+                    logits, lse = _partition_logits(g[:k], tables, out=views)
+                    pairs.append((logits - lse,
+                                  posterior_loop.partition_log_posterior(g[:k], tables)))
+        return pairs
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_posterior_matches_frozen(self, tables_by_n, n):
@@ -301,9 +310,8 @@ class TestSameBits:
         rng = np.random.default_rng(n)
         g = rng.normal(size=(9, tables.n_subsets)) * 10.0 ** rng.integers(-2, 3, size=9)[:, None]
         for rows in (g, g[:1], g[0]):     # a block, a one-row block, 1-D g
-            got, want = self.posteriors(rows, tables)
-            for x in got:
-                assert_same_bits(x, want)
+            for got, want in self.posteriors(rows, tables):
+                assert_same_bits(got, want)
 
     def test_ties_match_frozen(self, tables_by_n):
         """Under a flat prior, a g that depends on the subset size only ties
@@ -319,9 +327,8 @@ class TestSameBits:
         # less one give one maximum per row on average, but not in each row
         mixed = np.vstack([np.full((n_top[1] - 1, tables.n_subsets), np.nan), g[1]])
         for rows in (g, g[1:2], g[2], mixed):
-            got, want = self.posteriors(rows, flat)
-            for x in got:
-                assert_same_bits(x, want)
+            for got, want in self.posteriors(rows, flat):
+                assert_same_bits(got, want)
 
     def test_non_finite_rows_match_frozen(self, tables_by_n):
         """A NaN subset likelihood makes its row all NaN, and a -inf one
@@ -332,11 +339,12 @@ class TestSameBits:
         g[0, 3] = np.nan
         g[1, 5] = g[1, 9] = -np.inf
         g[2] = -np.inf
-        got, want = self.posteriors(g, tables)
+        pairs = self.posteriors(g, tables)
+        want = pairs[0][1]
         assert np.isnan(want[0]).all() and np.isnan(want[2]).all()
         assert np.isneginf(want[1]).any() and np.isfinite(want[1]).any()
-        for x in got:
-            assert_same_bits(x, want)
+        for got, want in pairs:
+            assert_same_bits(got, want)
 
     def test_infinite_logit_gives_nan_row(self, tables_by_n):
         """A +inf logit makes the whole row NaN (the frozen posterior has NaN
@@ -344,11 +352,11 @@ class TestSameBits:
         tables = tables_by_n[4]
         g = np.zeros((2, tables.n_subsets))
         g[0, 2] = np.inf
-        got, want = self.posteriors(g, tables)
-        assert not np.isfinite(want[0]).any()
-        for x in got:
-            assert np.isnan(x[0]).all()
-            assert_same_bits(x[1], want[1])
+        pairs = self.posteriors(g, tables)
+        assert not np.isfinite(pairs[0][1][0]).any()
+        for got, want in pairs:
+            assert np.isnan(got[0]).all()
+            assert_same_bits(got[1:], want[1:])
 
     def test_logits_and_lse(self, tables_by_n):
         """The unnormalized logits and their log-sum-exp differ by the log
@@ -360,6 +368,47 @@ class TestSameBits:
         post = posterior_loop.partition_log_posterior(g, tables)
         assert_same_bits(logits - lse, post)
         assert_same_bits(lse - logits, -post)
+
+
+class TestRowMax:
+    """`_row_max` gives `x.max(axis=-1, keepdims=True)`, NaN in the same
+    places, on each layout `_partition_logits` gets, including the odd
+    lengths its halving passes meet, and leaves x as it was."""
+
+    @staticmethod
+    def rows_with_specials(rng, m, b):
+        """An (m, b) array over six decades whose first rows hold a NaN, -inf
+        throughout, a +inf, two tied maxima and one -inf."""
+        shape = (max(m, 5), b)
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+        j, k = rng.choice(b, size=2, replace=False) if b > 1 else (0, 0)
+        x[0, j] = np.nan
+        x[1] = -np.inf
+        x[2, j] = np.inf
+        x[3, [j, k]] = x[3].max() + 1.0
+        x[4, j] = -np.inf
+        return x[:m]
+
+    @staticmethod
+    def layouts(x):
+        """x as a contiguous F-ordered block (as `training._Workspace` hands
+        it out), the leading rows of a larger F-ordered buffer, C-ordered,
+        and the block's rows in 1-D."""
+        m, b = x.shape
+        block = np.empty(b * (m + 3))[:b * m].reshape(b, m).T
+        lead = np.empty((b, m + 3)).T[:m]
+        block[...] = lead[...] = x
+        return [block, lead, np.ascontiguousarray(x), *block]
+
+    @pytest.mark.parametrize("b", [1, 2, 5, 15, 52, 203, 877, 4140])   # B_n, n = 1..8
+    def test_matches_max(self, b):
+        rng = np.random.default_rng(b)
+        for m in range(1, 18):
+            x = self.rows_with_specials(rng, m, b)
+            for v in self.layouts(x):
+                before = v.copy()
+                np.testing.assert_array_equal(_row_max(v), v.max(axis=-1, keepdims=True))
+                np.testing.assert_array_equal(v, before)
 
 
 class TestClusteringLogPosterior:

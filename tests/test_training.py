@@ -340,9 +340,11 @@ class TestKernel:
     def setup(self, request, small_corpus):
         return blocked_octets(small_corpus, request.param)
 
+    # 47, 48, 49 and 99 tuples span several blocks and end in a long, a
+    # full, a one-tuple and a short last block
     @pytest.mark.parametrize("want_grad", [False, True])
     @pytest.mark.parametrize("size", [1, _TUPLE_BLOCK - 1, _TUPLE_BLOCK, _TUPLE_BLOCK + 1,
-                                      2 * _TUPLE_BLOCK + 3, 200])
+                                      2 * _TUPLE_BLOCK + 3, 47, 48, 49, 99, 200])
     def test_matches_unblocked(self, setup, size, want_grad):
         arrays, model, plda, tables = setup
         arrays = tuple(np.resize(x, (size,) + x.shape[1:]) for x in arrays)
@@ -382,20 +384,30 @@ class TestKernel:
                 _forward_backward(*batch, model, plda, tables, want_grad),
                 kernel_loop._forward_backward(*batch, model, plda, tables, want_grad))
 
-    def test_forward_memory_is_bounded(self, setup):
-        """A forward pass of 1000 tuples allocates one workspace (~10 MB) and
-        its (1000, n, D) extractor outputs (~4 MB), below one (1000, B_n)
-        float64 array (33 MB) or one (1000, 2^n - 1, D) array (16 MB) on
-        top of them."""
+    @staticmethod
+    def traced_peak(setup, size):
+        """tracemalloc's peak over a forward `_forward_backward` of `size`
+        tuples."""
         arrays, model, plda, tables = setup
-        arrays = tuple(np.resize(x, (1000,) + x.shape[1:]) for x in arrays)
+        arrays = tuple(np.resize(x, (size,) + x.shape[1:]) for x in arrays)
         tracemalloc.start()
         try:
             _forward_backward(*arrays, model, plda, tables, False)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6
+
+    def test_forward_memory_is_bounded(self, setup):
+        """A forward pass of 1000 tuples allocates one workspace (~2.5 MB)
+        and its (1000, n, D) extractor outputs (~4 MB): less than one
+        (1000, B_n) float64 array (33 MB), one (1000, 2^n - 1, D) array
+        (16 MB) or a workspace of 48 rows (~7.4 MB) on top of them."""
+        assert self.traced_peak(setup, 1000) < 10e6
+
+    def test_heldout_forward_memory(self, setup):
+        """The held-out pass of `train` (200 tuples, no gradients) peaks
+        near 3.9 MB; a workspace of 48 rows took it to 9.9 MB."""
+        assert self.traced_peak(setup, 200) < 6e6
 
 
 class TestTrain:
